@@ -14,13 +14,6 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
   if (!spec.strategy_factory) {
     throw std::invalid_argument("Cluster: missing strategy factory");
   }
-  if (spec.serving.has_value() && spec.elastic.has_value()) {
-    // Serving replicas ride on extra fabric slots outside the worker
-    // roster; the elastic controller assumes the roster spans the whole
-    // fabric, so the two layers cannot share a cluster yet.
-    throw std::invalid_argument("Cluster: serving and elastic are exclusive");
-  }
-
   // Serving replicas occupy slots [n, n + extra) in the same network and
   // fabric; set_active_workers keeps the egress fair-share divisor at the
   // worker count, so training traffic shapes exactly as without serving.
@@ -55,17 +48,17 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
   fabric_ = std::make_unique<comm::Fabric>(*network_, byte_scale);
   if (spec.obs != nullptr) fabric_->set_obs(spec.obs);
 
-  // Elastic membership: compute.size() is the slot *capacity*; only the
-  // first initial_workers slots start live, the rest dormant.
+  // The roster spans the fabric. Elastic membership: compute.size() is the
+  // worker slot *capacity*; only the first initial_workers slots start
+  // live, the rest dormant. Serving slots are never members, so worker
+  // broadcasts never reach them.
   elastic_ = spec.elastic.has_value();
-  std::vector<bool> initial_members(n, true);
-  if (elastic_) {
-    const std::size_t live = spec.elastic->initial_workers == 0
-                                 ? n
-                                 : std::min(spec.elastic->initial_workers, n);
-    if (live == 0) throw std::invalid_argument("Cluster: empty roster");
-    for (std::size_t i = live; i < n; ++i) initial_members[i] = false;
+  std::size_t live = n;
+  if (elastic_ && spec.elastic->initial_workers != 0) {
+    live = std::min(spec.elastic->initial_workers, n);
   }
+  std::vector<bool> initial_members(n + extra, false);
+  for (std::size_t i = 0; i < live; ++i) initial_members[i] = true;
 
   common::Rng seeder(spec.seed ^ 0x5eedULL);
   for (std::size_t i = 0; i < n; ++i) {
@@ -77,21 +70,9 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
       options.fault_tolerance.enabled = true;
     }
     if (elastic_) {
-      options.elastic.enabled = true;
       options.elastic.bootstrap_fanout = spec.elastic->bootstrap_fanout;
-      options.elastic.start_dormant = !initial_members[i];
-      options.elastic.initial_members = initial_members;
-    } else if (extra > 0) {
-      // Serving slots must never receive worker broadcasts. A static
-      // roster of exactly the worker slots rides the elastic layer's
-      // roster-targeted broadcast; with no membership events this is
-      // bit-identical to the legacy all-worker broadcast (PR 6 noop-elastic
-      // identity), just over a fabric with extra non-member slots.
-      std::vector<bool> worker_slots(n + extra, false);
-      for (std::size_t j = 0; j < n; ++j) worker_slots[j] = true;
-      options.elastic.enabled = true;
-      options.elastic.initial_members = std::move(worker_slots);
     }
+    options.elastic.initial_members = initial_members;
     workers_.push_back(std::make_unique<Worker>(
         i, engine_, *fabric_,
         sim::ComputeResource(spec.compute[i], built.profile,
@@ -118,7 +99,11 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
       if (cw.worker >= workers_.size()) continue;
       Worker* w = workers_[cw.worker].get();
       engine_.at(cw.start, [w] { w->crash(); });
-      engine_.at(cw.end, [w] { w->recover(); });
+      engine_.at(cw.end, [this, w] {
+        const MembershipController* mc = membership_.get();
+        w->recover(mc != nullptr ? mc->epoch() : 0,
+                   mc != nullptr ? mc->members() : w->membership().members());
+      });
     }
   }
 

@@ -65,8 +65,8 @@ struct ClusterSpec {
   std::optional<ElasticSpec> elastic;
   /// Serving tier: inference replicas on extra fabric slots, refreshed
   /// online from the freshest training worker (DESIGN.md "Serving tier").
-  /// Disabled (nullopt, the default) leaves every run bit-identical to a
-  /// training-only cluster. Mutually exclusive with `elastic`.
+  /// Replica slots are never roster members. Disabled (nullopt, the
+  /// default) leaves every run bit-identical to a training-only cluster.
   std::optional<serve::ServingSpec> serving;
 };
 

@@ -19,9 +19,9 @@ MembershipController::MembershipController(
       duration_(duration),
       seed_(seed),
       autoscaler_(config_.autoscaler) {
-  if (members_.size() != workers_.size()) {
+  if (members_.size() != fabric_->size()) {
     throw std::invalid_argument(
-        "MembershipController: roster size != worker count");
+        "MembershipController: roster size != fabric size");
   }
   if (member_count() == 0) {
     throw std::invalid_argument("MembershipController: empty initial roster");

@@ -56,7 +56,9 @@ struct MembershipConfig {
 class MembershipController {
  public:
   /// `workers` are non-owning; the cluster keeps them alive. `initial`
-  /// must match the workers' construction-time roster.
+  /// has one bit per fabric slot and must match the workers' construction-
+  /// time roster; slots past the workers (serving replicas) are never
+  /// members.
   MembershipController(sim::Engine& engine, comm::Fabric& fabric,
                        std::vector<Worker*> workers, MembershipConfig config,
                        std::vector<bool> initial, common::SimTime duration,

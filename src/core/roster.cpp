@@ -2,39 +2,89 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 
 namespace dlion::core {
 
-RosterView::RosterView(std::size_t capacity, const std::vector<bool>& members,
-                       std::uint64_t epoch)
-    : members_(members), epoch_(epoch) {
-  if (members.size() != capacity) {
-    throw std::invalid_argument("RosterView: member bitmap size != capacity");
+Membership::Membership(std::vector<bool> members, std::size_t self)
+    : members_(std::move(members)),
+      suspected_(members_.size(), false),
+      last_heard_(members_.size(), 0.0),
+      excluded_(members_.size(), false),
+      self_(self) {
+  if (self_ >= members_.size()) {
+    throw std::invalid_argument("Membership: owner slot out of range");
   }
   member_count_ = static_cast<std::size_t>(
       std::count(members_.begin(), members_.end(), true));
+  live_count_ = members_.size();
+  for (std::size_t j = 0; j < members_.size(); ++j) refresh(j);
 }
 
-bool RosterView::adopt(std::uint64_t epoch, const std::vector<bool>& members) {
+void Membership::refresh(std::size_t j) {
+  const bool out = j != self_ && (!members_[j] || suspected_[j]);
+  if (out == excluded_[j]) return;
+  excluded_[j] = out;
+  if (out) {
+    --live_count_;
+  } else {
+    ++live_count_;
+  }
+}
+
+bool Membership::adopt(std::uint64_t epoch, const std::vector<bool>& members,
+                       common::SimTime now) {
   if (epoch <= epoch_) return false;
-  DLION_ASSERT(members.size() == members_.size() || members_.empty(),
-               "RosterView::adopt: capacity mismatch");
-  members_ = members;
+  DLION_ASSERT(members.size() == members_.size(),
+               "Membership::adopt: capacity mismatch");
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    if (members[j] && !members_[j] && j != self_) {
+      last_heard_[j] = now;
+      suspected_[j] = false;
+    }
+    members_[j] = members[j];
+    refresh(j);
+  }
   member_count_ = static_cast<std::size_t>(
       std::count(members_.begin(), members_.end(), true));
   epoch_ = epoch;
   return true;
 }
 
-std::vector<std::size_t> RosterView::member_ids() const {
+std::vector<std::size_t> Membership::member_ids() const {
   std::vector<std::size_t> ids;
   ids.reserve(member_count_);
   for (std::size_t w = 0; w < members_.size(); ++w) {
     if (members_[w]) ids.push_back(w);
   }
   return ids;
+}
+
+void Membership::heard(std::size_t slot, common::SimTime now) {
+  last_heard_.at(slot) = now;
+  suspected_[slot] = false;
+  refresh(slot);
+}
+
+bool Membership::sweep(common::SimTime now, double timeout) {
+  bool changed = false;
+  for (std::size_t j = 0; j < members_.size(); ++j) {
+    if (j == self_ || !members_[j]) continue;
+    const bool sus = (now - last_heard_[j]) > timeout;
+    if (sus == suspected_[j]) continue;
+    suspected_[j] = sus;
+    refresh(j);
+    changed = true;
+  }
+  return changed;
+}
+
+void Membership::reset_liveness(common::SimTime now) {
+  std::fill(last_heard_.begin(), last_heard_.end(), now);
+  std::fill(suspected_.begin(), suspected_.end(), false);
+  for (std::size_t j = 0; j < members_.size(); ++j) refresh(j);
 }
 
 std::vector<BootstrapRange> plan_bootstrap(

@@ -55,14 +55,15 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
       scheduled_gbs_(options_.gbs.initial_gbs),
       compute_rate_(0.3),
       iter_interval_(0.3),
+      membership_(options_.elastic.initial_members.empty()
+                      ? Membership(fabric.size(), id)
+                      : Membership(options_.elastic.initial_members, id)),
       accuracy_trace_("accuracy"),
       loss_trace_("loss"),
       lbs_trace_("lbs"),
       gbs_trace_("gbs"),
       chosen_n_trace_("chosen_n"),
-      entries_traces_(fabric.size()),
-      last_heard_(fabric.size(), 0.0),
-      suspected_(fabric.size(), false) {
+      entries_traces_(fabric.size()) {
   // Fixed evaluation subset: deterministic, shared across the run.
   if (test_set_ != nullptr && test_set_->size() > 0) {
     const std::size_t n = std::min(options_.eval_subset, test_set_->size());
@@ -70,18 +71,9 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
     for (std::size_t i = 0; i < n; ++i) idx[i] = i;
     eval_batch_ = data::gather(*test_set_, idx);
   }
-  // Roster (all-member at epoch 0 unless the elastic layer narrows it) and
-  // the merged exclusion mask derived from it.
-  if (options_.elastic.enabled && !options_.elastic.initial_members.empty()) {
-    roster_ = RosterView(fabric.size(), options_.elastic.initial_members, 0);
-  } else {
-    roster_ = RosterView(fabric.size());
-  }
-  excluded_.assign(fabric.size(), false);
-  for (std::size_t j = 0; j < fabric.size(); ++j) {
-    excluded_[j] = !roster_.is_member(j);
-  }
-  dormant_ = options_.elastic.enabled && options_.elastic.start_dormant;
+  DLION_ASSERT(membership_.capacity() == fabric.size(),
+               "initial roster size != fabric size");
+  dormant_ = !membership_.is_member(id_);
   if (!dormant_) {
     fabric_->attach(id_, [this](std::size_t from, comm::MessagePtr msg) {
       on_message(from, std::move(msg));
@@ -120,26 +112,17 @@ std::size_t Worker::current_gbs() const {
   return gbs_ctrl_.gbs();
 }
 
-std::size_t Worker::live_worker_count() const {
-  // excluded_ merges suspicion with roster membership; with elastic
-  // membership off it equals suspected_, so this is the legacy count.
-  std::size_t live = 0;
-  for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    if (j == id_ || !excluded_[j]) ++live;
-  }
-  return live;
-}
-
 std::size_t Worker::effective_gbs() const {
   if (options_.dynamic_batching || options_.gbs_schedule) {
     return std::max<std::size_t>(1, current_gbs());
   }
-  return std::max<std::size_t>(1, options_.fixed_lbs * live_worker_count());
+  return std::max<std::size_t>(1,
+                               options_.fixed_lbs * membership_.live_count());
 }
 
 void Worker::start(common::SimTime until) {
   end_time_ = until;
-  std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
+  membership_.reset_liveness(engine_->now());
   if (options_.dynamic_batching || options_.gbs_schedule) {
     profile_rcp(/*broadcast_if_changed=*/false);
     broadcast_msg(comm::RcpReport{static_cast<std::uint32_t>(id_),
@@ -206,22 +189,10 @@ void Worker::batch_tick() {
 void Worker::heartbeat_tick() {
   if (engine_->now() >= end_time_) return;
   broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_), iteration_});
-  // Suspicion sweep: a peer unheard-from past the timeout is excluded from
-  // wait-sets, renormalization, and weight-pull targeting until it speaks
-  // again (on_message clears suspicion on any received message). Dormant
-  // non-members are already excluded and never swept.
-  const common::SimTime now = engine_->now();
-  bool changed = false;
-  for (std::size_t j = 0; j < suspected_.size(); ++j) {
-    if (j == id_ || !roster_.is_member(j)) continue;
-    const bool sus = (now - last_heard_[j]) > ft().suspicion_timeout_s;
-    if (sus != suspected_[j]) {
-      suspected_[j] = sus;
-      excluded_[j] = sus;
-      changed = true;
-    }
-  }
-  if (changed) {
+  // Suspicion sweep: a member unheard-from past the timeout is excluded
+  // from wait-sets, renormalization, and weight-pull targeting until it
+  // speaks again (on_message clears suspicion on any received message).
+  if (membership_.sweep(engine_->now(), ft().suspicion_timeout_s)) {
     // Degrade gracefully: reallocate batch shares across live workers and
     // re-check the (possibly shrunken) synchronization wait-set.
     if (options_.dynamic_batching || options_.gbs_schedule) recompute_lbs();
@@ -278,7 +249,7 @@ void Worker::crash() {
   fabric_->detach(id_);  // in-flight messages to this worker dead-letter
 }
 
-void Worker::recover() {
+void Worker::recover(std::uint64_t epoch, const std::vector<bool>& members) {
   if (!crashed_) return;
   crashed_ = false;
   ++recover_count_;
@@ -303,11 +274,10 @@ void Worker::recover() {
   last_finish_ = -1.0;
   // Grace period: give every peer a fresh liveness stamp so the recovering
   // worker does not instantly suspect the whole cluster.
-  std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  std::fill(suspected_.begin(), suspected_.end(), false);
-  for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    excluded_[j] = !roster_.is_member(j);
-  }
+  membership_.reset_liveness(engine_->now());
+  // RosterUpdates sent while this worker was detached dead-lettered; catch
+  // up with the roster before announcing ourselves to it.
+  apply_roster(epoch, members);
   // Re-announce compute power and liveness to peers.
   if (options_.dynamic_batching || options_.gbs_schedule) {
     profile_rcp(/*broadcast_if_changed=*/false);
@@ -333,7 +303,8 @@ void Worker::request_catch_up() {
   // this worker crashed is never targeted, and attempts are bounded by the
   // number of workers actually live right now.
   catching_up_ = true;
-  send_weight_pull(excluded_, live_worker_count(), /*catch_up=*/true);
+  send_weight_pull(membership_.excluded(), membership_.live_count(),
+                   /*catch_up=*/true);
 }
 
 void Worker::profile_rcp(bool broadcast_if_changed) {
@@ -357,28 +328,19 @@ void Worker::profile_rcp(bool broadcast_if_changed) {
 }
 
 void Worker::recompute_lbs() {
-  std::vector<std::size_t> allocation;
-  if (options_.elastic.enabled) {
-    // Membership-aware Eq. 5: the GBS renormalizes over exactly the live
-    // roster — dormant slots get zero batch (not the min-LBS floor the
-    // kDeadRcp path below would hand them), so a 4->64 scale-out spreads
-    // the same GBS across 64 live shares and a scale-in concentrates it.
-    std::vector<bool> live(excluded_.size());
-    for (std::size_t j = 0; j < excluded_.size(); ++j) {
-      live[j] = (j == id_) || !excluded_[j];
-    }
-    allocation =
-        allocate_lbs_live(current_gbs(), rcp_table_, live, options_.lbs.min_lbs);
-  } else {
-    // Suspected peers contribute (effectively) zero compute power, so their
-    // batch share is redistributed across live workers. With no suspicion
-    // the table is used verbatim - identical to the non-fault-tolerant path.
-    std::vector<double> rcp = rcp_table_;
-    for (std::size_t j = 0; j < rcp.size(); ++j) {
-      if (j != id_ && suspected_[j]) rcp[j] = kDeadRcp;
-    }
-    allocation = allocate_lbs(current_gbs(), rcp, options_.lbs.min_lbs);
+  // Membership-aware Eq. 5: the GBS renormalizes over exactly the members
+  // (self included) - non-members get zero batch, so a 4->64 scale-out
+  // spreads the same GBS across 64 shares and a scale-in concentrates it.
+  // Suspected members contribute (effectively) zero compute power, so
+  // their share is redistributed across live workers.
+  std::vector<bool> live = membership_.members();
+  live[id_] = true;
+  std::vector<double> rcp = rcp_table_;
+  for (std::size_t j = 0; j < rcp.size(); ++j) {
+    if (j != id_ && membership_.suspected(j)) rcp[j] = kDeadRcp;
   }
+  const std::vector<std::size_t> allocation =
+      allocate_lbs_live(current_gbs(), rcp, live, options_.lbs.min_lbs);
   DLION_ASSERT(allocation.size() == rcp_table_.size(),
                "LBS allocation lost a worker");
   const std::size_t lbs = std::max<std::size_t>(1, allocation[id_]);
@@ -402,19 +364,11 @@ void Worker::try_start_iteration() {
       engine_->now() >= end_time_ || iteration_ >= options_.max_iterations) {
     return;
   }
-  // Wait-set ⊆ live-set contract: the worker itself is always live (a
-  // crashed worker never reaches this point — crash() clears running state
-  // and detaches), so the synchronization wait-set below, which excludes
-  // every suspected or non-member peer, can never contain a dead
-  // participant or demand a wait on ourselves.
-  DLION_DCHECK(!crashed_ && !excluded_[id_],
-               "wait-set would include a dead participant");
-  DLION_DCHECK(live_worker_count() >= 1, "live-set lost the worker itself");
   // Suspected and non-member peers are excluded from the wait-set entirely,
   // so a crashed or departed peer cannot deadlock synchronous or bounded-
-  // staleness training.
+  // staleness training; the worker itself is never excluded.
   if (!can_start_iteration(options_.sync, iteration_, peer_latest_, id_,
-                           excluded_)) {
+                           membership_.excluded())) {
     waiting_ = true;
     // Open (or keep open) the sync-stall span for this gap.
     if (obs::on(obs_) && stall_start_ < 0.0) stall_start_ = engine_->now();
@@ -435,7 +389,7 @@ void Worker::try_start_iteration() {
     // staleness clock). Negative values mean peers are ahead of us.
     std::int64_t min_peer = std::numeric_limits<std::int64_t>::max();
     for (std::size_t j = 0; j < peer_latest_.size(); ++j) {
-      if (j == id_ || excluded_[j]) continue;
+      if (j == id_ || membership_.excluded()[j]) continue;
       min_peer = std::min(min_peer, peer_latest_[j]);
     }
     if (min_peer != std::numeric_limits<std::int64_t>::max()) {
@@ -486,7 +440,7 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
   // Apply own gradients (Eq. 7's j = k term: db = 1 literal, n*LBS_k/GBS
   // normalized). Averaging runs over *live* workers so updates keep their
   // magnitude when peers die (n = fabric size when nothing is suspected).
-  const std::size_t n_live = live_worker_count();
+  const std::size_t n_live = membership_.live_count();
   // GBS bounds contract: the effective global batch always covers this
   // worker's own contribution and never exceeds what the live cluster can
   // actually supply in fixed-LBS mode.
@@ -516,8 +470,7 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
   double sent_bytes = 0.0;
   double sent_peers = 0.0;
   for (std::size_t peer = 0; peer < fabric_->size(); ++peer) {
-    if (peer == id_) continue;
-    if (excluded_[peer]) continue;
+    if (peer == id_ || membership_.excluded()[peer]) continue;
     LinkContext ctx;
     ctx.self = id_;
     ctx.peer = peer;
@@ -612,31 +565,23 @@ void Worker::run_dkt_boundary() {
   if (ft().enabled) {
     // Reliable pull with next-best fallback: an unacked request (crashed or
     // partitioned best worker) falls through to the next-best candidate.
-    // The merged exclusion mask keeps departed members out of the chain.
-    send_weight_pull(excluded_, live_worker_count(), /*catch_up=*/false);
-  } else {
-    std::size_t best;
-    if (options_.elastic.enabled) {
-      best = dkt_.best_worker(iteration_, excluded_);
-      if (best == id_) return;  // no usable member to pull from
-    } else {
-      best = dkt_.best_worker(iteration_);
-    }
-    if (obs::on(obs_)) {
-      obs_h_.dkt_pulls->inc();
-      if (pull_start_ < 0.0) pull_start_ = engine_->now();
-    }
-    fabric_->send(id_, best,
-                  comm::DktRequest{static_cast<std::uint32_t>(id_),
-                                   iteration_});
+    // The exclusion mask keeps departed members out of the chain.
+    send_weight_pull(membership_.excluded(), membership_.live_count(),
+                     /*catch_up=*/false);
+    return;
   }
+  const std::size_t best = dkt_.best_worker(iteration_, membership_.excluded());
+  if (best == id_) return;  // no usable member to pull from
+  if (obs::on(obs_)) {
+    obs_h_.dkt_pulls->inc();
+    if (pull_start_ < 0.0) pull_start_ = engine_->now();
+  }
+  fabric_->send(id_, best,
+                comm::DktRequest{static_cast<std::uint32_t>(id_), iteration_});
 }
 
 void Worker::send_weight_pull(std::vector<bool> excluded,
                               std::size_t attempts_left, bool catch_up) {
-  if (excluded.size() < fabric_->size()) {
-    excluded.resize(fabric_->size(), false);
-  }
   excluded[id_] = true;  // never pull from ourselves
   if (attempts_left == 0) {
     if (catch_up) catching_up_ = false;
@@ -698,22 +643,15 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
   // Membership gate (second line of defense behind the fabric's epoch
   // floor): traffic from a non-member is rejected — except RosterUpdate,
   // which may be the sender's own join announcement.
-  const bool is_roster_update =
-      std::holds_alternative<comm::RosterUpdate>(*msg);
-  if (options_.elastic.enabled && !is_roster_update &&
-      !roster_.is_member(from)) {
+  if (!std::holds_alternative<comm::RosterUpdate>(*msg) &&
+      !membership_.is_member(from)) {
     ++nonmember_rejected_;
     return;
   }
   // Any message is proof of life: refresh the liveness stamp and clear
-  // suspicion (a no-op whenever fault tolerance is disabled). The merged
-  // exclusion bit clears only for members (a RosterUpdate from a joiner
-  // clears it inside apply_roster once the roster is adopted).
-  if (from < last_heard_.size()) {
-    last_heard_[from] = engine_->now();
-    suspected_[from] = false;
-    if (roster_.is_member(from)) excluded_[from] = false;
-  }
+  // suspicion (a no-op whenever fault tolerance is disabled). A joiner's
+  // RosterUpdate re-includes it only once the roster is adopted.
+  membership_.heard(from, engine_->now());
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -721,7 +659,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
           peer_latest_[from] =
               std::max(peer_latest_[from],
                        static_cast<std::int64_t>(m.iteration));
-          const std::size_t n_live = live_worker_count();
+          const std::size_t n_live = membership_.live_count();
           const double db =
               options_.db_normalized
                   ? normalized_batching_weight(std::max<std::size_t>(1, m.lbs),
@@ -808,7 +746,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
           // a chunk for a genuinely superseded join attempt dies at the
           // joiner's transport epoch floor, not here. Requests from the
           // future would mean a broken epoch authority.
-          if (m.epoch <= roster_.epoch() &&
+          if (m.epoch <= membership_.epoch() &&
               static_cast<std::size_t>(m.first_var) + m.var_count <=
                   built_.model.num_variables()) {
             comm::BootstrapChunk chunk;
@@ -891,43 +829,32 @@ comm::WeightPayload Worker::stage_weights(std::size_t first_var,
 // --- Elastic membership (DESIGN.md, "Elastic membership") ---
 
 void Worker::broadcast_msg(const comm::Message& msg) {
-  if (options_.elastic.enabled) {
-    fabric_->broadcast(id_, msg, roster_.members());
-  } else {
-    fabric_->broadcast(id_, msg);
-  }
+  fabric_->broadcast(id_, msg, membership_.members());
 }
 
 void Worker::apply_roster(std::uint64_t epoch,
                           const std::vector<bool>& members) {
-  const std::vector<bool> prev = roster_.members();
-  if (!roster_.adopt(epoch, members)) return;
+  const std::vector<bool> prev = membership_.members();
+  if (!membership_.adopt(epoch, members, engine_->now())) return;
   // Every member re-stamps its outgoing traffic at every roster change, so
   // a joiner's epoch floor never rejects current traffic from legitimate
   // members.
   fabric_->set_epoch(id_, epoch);
   for (std::size_t j = 0; j < members.size(); ++j) {
-    if (j == id_) {
-      excluded_[j] = false;
-      continue;
-    }
-    if (members[j] && !prev[j]) {
-      // Newly joined member: fresh liveness stamp and an optimistic
-      // staleness baseline — it catches up to about our iteration via
-      // bootstrap before sending its first gradient, so bounded-staleness
-      // training must not stall on its (empty) history.
-      last_heard_[j] = engine_->now();
-      suspected_[j] = false;
+    if (j != id_ && members[j] && !prev[j]) {
+      // Newly joined member (adopt gave it a fresh liveness stamp): an
+      // optimistic staleness baseline - it catches up to about our
+      // iteration via bootstrap before sending its first gradient, so
+      // bounded-staleness training must not stall on its (empty) history.
       peer_latest_[j] = std::max(peer_latest_[j],
                                  static_cast<std::int64_t>(iteration_));
     }
-    excluded_[j] = !members[j] || suspected_[j];
   }
   if (obs::on(obs_)) {
     obs_->tracer().instant(
         obs_track_, "roster", engine_->now(),
         {{"epoch", static_cast<double>(epoch)},
-         {"members", static_cast<double>(roster_.member_count())}});
+         {"members", static_cast<double>(membership_.member_count())}});
   }
   // GBS/LBS renormalization over the new live set (Eq. 5 across members).
   if (!dormant_ && (options_.dynamic_batching || options_.gbs_schedule)) {
@@ -943,8 +870,6 @@ void Worker::apply_roster(std::uint64_t epoch,
 
 void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
                   common::SimTime until) {
-  DLION_ASSERT(options_.elastic.enabled,
-               "Worker::join requires the elastic membership layer");
   if (!dormant_) return;
   dormant_ = false;
   crashed_ = false;
@@ -959,8 +884,7 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
   // Raising the floor to the join epoch makes in-flight traffic addressed
   // to this slot's previous tenure undeliverable — deterministically.
   fabric_->set_epoch_floor(id_, epoch);
-  std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  std::fill(suspected_.begin(), suspected_.end(), false);
+  membership_.reset_liveness(engine_->now());
   apply_roster(epoch, members);
   if (obs::on(obs_)) {
     obs_->tracer().instant(obs_track_, "join", engine_->now(),
@@ -993,8 +917,6 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
 }
 
 void Worker::leave(std::uint64_t epoch, const std::vector<bool>& members) {
-  DLION_ASSERT(options_.elastic.enabled,
-               "Worker::leave requires the elastic membership layer");
   if (dormant_) return;
   // Adopt + stamp the shrunken roster, then say goodbye to the remaining
   // members (the farewell carries the new epoch, so nobody's floor rejects
@@ -1033,13 +955,13 @@ void Worker::rebind_compute(sim::ComputeResource compute) {
 void Worker::begin_bootstrap() {
   bootstrapping_ = false;
   std::vector<std::size_t> donors;
-  for (std::size_t j : roster_.member_ids()) {
+  for (std::size_t j : membership_.member_ids()) {
     if (j != id_) donors.push_back(j);
   }
   const std::size_t nvars = built_.model.num_variables();
   if (donors.empty() || nvars == 0) return;  // first member: nothing to copy
   bootstrapping_ = true;
-  bootstrap_epoch_ = roster_.epoch();
+  bootstrap_epoch_ = membership_.epoch();
   bootstrap_values_.assign(nvars, comm::Payload<float>{});
   bootstrap_have_.assign(nvars, false);
   bootstrap_received_ = 0;
@@ -1056,7 +978,7 @@ void Worker::begin_bootstrap() {
                            {{"ranges", static_cast<double>(ranges.size())}});
   }
   for (const BootstrapRange& r : ranges) {
-    send_bootstrap_request(r, excluded_, live_worker_count());
+    send_bootstrap_request(r, membership_.excluded(), membership_.live_count());
   }
 }
 
@@ -1067,12 +989,12 @@ void Worker::send_bootstrap_request(BootstrapRange range,
   excluded[id_] = true;  // never download from ourselves
   std::size_t donor = range.donor;
   if (donor >= excluded.size() || excluded[donor] ||
-      !roster_.is_member(donor)) {
+      !membership_.is_member(donor)) {
     // Planned donor unusable (failed earlier attempt, or left the roster):
     // fall through to the lowest-id live member.
     donor = excluded.size();
     for (std::size_t j = 0; j < excluded.size(); ++j) {
-      if (!excluded[j] && roster_.is_member(j)) {
+      if (!excluded[j] && membership_.is_member(j)) {
         donor = j;
         break;
       }
@@ -1082,7 +1004,7 @@ void Worker::send_bootstrap_request(BootstrapRange range,
   }
   comm::BootstrapRequest req;
   req.from = static_cast<std::uint32_t>(id_);
-  req.epoch = roster_.epoch();
+  req.epoch = membership_.epoch();
   req.first_var = range.first_var;
   req.var_count = range.var_count;
   if (ft().enabled) {
@@ -1119,7 +1041,7 @@ void Worker::finish_bootstrap() {
   // Optimistic staleness baseline at the adopted iteration (mirrors what
   // apply_roster granted us on the receiving side).
   for (std::size_t j = 0; j < peer_latest_.size(); ++j) {
-    if (j == id_ || excluded_[j]) continue;
+    if (j == id_ || membership_.excluded()[j]) continue;
     peer_latest_[j] = std::max(peer_latest_[j],
                                static_cast<std::int64_t>(iteration_));
   }

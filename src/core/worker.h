@@ -55,24 +55,21 @@ struct FaultToleranceOptions {
 
 /// Elastic-membership layer (DESIGN.md, "Elastic membership").
 ///
-/// When enabled the worker keeps a RosterView (epoch + member bitmap over
-/// the cluster's fixed slot capacity), addresses every broadcast to the
-/// current roster only, excludes non-members from synchronization wait-sets
-/// and batch-share renormalization, and — when joining mid-run — bootstraps
-/// its weights from >= 2 live peers via disjoint variable-range chunks
-/// before training its first iteration.
-///
-/// Disabled (the default) the roster is the all-member view at epoch 0 and
-/// every code path reduces bit-identically to the non-elastic worker.
+/// Every worker keeps a Membership (roster epoch + member bit per fabric
+/// slot + suspicion), addresses every broadcast to the current members
+/// only, excludes non-members from synchronization wait-sets and batch-share
+/// renormalization, and - when joining mid-run - bootstraps its weights
+/// from >= 2 live peers via disjoint variable-range chunks before training
+/// its first iteration. Without churn the roster never changes, so a run
+/// whose slots are all members is the plain non-elastic worker.
 struct ElasticOptions {
-  bool enabled = false;
   /// Donors a joiner splits its bootstrap download across (>= 2 whenever
   /// the roster allows).
   std::size_t bootstrap_fanout = 2;
-  /// Construct dormant: not attached to the fabric, not training, waiting
-  /// for a MembershipController join() call.
-  bool start_dormant = false;
-  /// Roster at construction time (epoch 0). Empty = every slot a member.
+  /// Roster at construction time (epoch 0), one bit per fabric slot.
+  /// Empty = every slot a member. A worker whose own bit is clear starts
+  /// dormant: detached, not training, waiting for a join() call. Serving
+  /// slots are never members.
   std::vector<bool> initial_members;
 };
 
@@ -104,7 +101,7 @@ struct WorkerOptions {
   std::function<std::size_t(std::uint64_t iteration, double now)> gbs_schedule;
   /// Fault-tolerance layer; disabled by default (see FaultToleranceOptions).
   FaultToleranceOptions fault_tolerance;
-  /// Elastic-membership layer; disabled by default (see ElasticOptions).
+  /// Elastic-membership layer (see ElasticOptions).
   ElasticOptions elastic;
 };
 
@@ -166,14 +163,12 @@ class Worker {
   /// letter), cancel all scheduled activity, freeze training state.
   void crash();
   /// Recover from a crash: restore the last in-memory checkpoint, reattach
-  /// to the fabric, re-announce RCP + liveness, pull fresh state from a live
-  /// peer (catch-up), and resume training.
-  void recover();
+  /// to the fabric, adopt the roster at `epoch` (the controller's current
+  /// one; RosterUpdates sent while crashed dead-lettered) if it is newer,
+  /// re-announce RCP + liveness, pull fresh state from a live peer
+  /// (catch-up), and resume training.
+  void recover(std::uint64_t epoch, const std::vector<bool>& members);
   bool crashed() const { return crashed_; }
-  /// Workers not currently suspected crashed, self included. Equals the
-  /// fabric size whenever fault tolerance is disabled.
-  std::size_t live_worker_count() const;
-  const std::vector<bool>& suspected_peers() const { return suspected_; }
   std::uint64_t crash_count() const { return crash_count_; }
   std::uint64_t recover_count() const { return recover_count_; }
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
@@ -183,11 +178,11 @@ class Worker {
   // --- Elastic membership (DESIGN.md, "Elastic membership") ---
 
   /// Join the cluster at roster `epoch` with the given member bitmap
-  /// (called by the MembershipController; requires elastic.enabled). The
-  /// joiner announces the roster to every member first — per-link FIFO
-  /// delivery guarantees receivers admit it before any of its other
-  /// traffic — then requests disjoint weight-range chunks from >= 2 live
-  /// donors and starts training once the snapshot is reassembled.
+  /// (called by the MembershipController). The joiner announces the
+  /// roster to every member first — per-link FIFO delivery guarantees
+  /// receivers admit it before any of its other traffic — then requests
+  /// disjoint weight-range chunks from >= 2 live donors and starts
+  /// training once the snapshot is reassembled.
   void join(std::uint64_t epoch, const std::vector<bool>& members,
             common::SimTime until);
   /// Leave the cluster: broadcast the shrunken roster at `epoch` to the
@@ -199,7 +194,8 @@ class Worker {
   bool dormant() const { return dormant_; }
   /// Still reassembling the multi-peer bootstrap snapshot.
   bool bootstrapping() const { return bootstrapping_; }
-  const RosterView& roster() const { return roster_; }
+  /// Who is in: roster epoch, members, suspicion, live count.
+  const Membership& membership() const { return membership_; }
   /// Distinct donors that contributed bootstrap chunks (>= 2 on any roster
   /// with two live peers).
   std::size_t bootstrap_donor_count() const { return bootstrap_donor_count_; }
@@ -259,13 +255,12 @@ class Worker {
   /// write; every message carrying the result shares the same blocks).
   comm::WeightPayload stage_weights(std::size_t first_var,
                                     std::size_t var_count);
-  /// Roster-targeted broadcast when elastic membership is on; the legacy
-  /// everyone-but-self broadcast otherwise.
+  /// Broadcast to the current members.
   void broadcast_msg(const comm::Message& msg);
   /// Adopt a (strictly newer) roster: stamp outgoing traffic with the new
-  /// epoch, refresh the merged exclusion mask, give newly added members an
-  /// optimistic liveness/staleness baseline, renormalize LBS, and re-check
-  /// a pending synchronization wait.
+  /// epoch, give newly added members an optimistic liveness/staleness
+  /// baseline, renormalize LBS, and re-check a pending synchronization
+  /// wait.
   void apply_roster(std::uint64_t epoch, const std::vector<bool>& members);
   void begin_bootstrap();
   /// Reliable chunk request with next-donor fallback (mirrors
@@ -311,16 +306,16 @@ class Worker {
   common::Ewma iter_interval_;   // EWMA of full iteration cycle seconds
   common::SimTime last_finish_ = -1.0;
 
-  // Fault-tolerance state. All of it stays in its initial "everything live"
-  // configuration when ft().enabled is false, so the training path reads it
-  // without branching on the flag.
+  /// Who is in. Suspicion stays clear when ft().enabled is false, so the
+  /// training path reads it without branching on the flag.
+  Membership membership_;
+
+  // Fault-tolerance state.
   bool crashed_ = false;
   bool catching_up_ = false;
   /// Bumped on crash(); scheduled lambdas capture the incarnation they were
   /// created under and become no-ops when it no longer matches.
   std::uint64_t incarnation_ = 0;
-  std::vector<common::SimTime> last_heard_;  // per peer; self unused
-  std::vector<bool> suspected_;              // per peer; self always false
   std::vector<std::uint8_t> checkpoint_buf_;  // DLCK bytes, crash restore
   std::uint64_t checkpoint_iteration_ = 0;
   bool checkpoint_valid_ = false;
@@ -329,14 +324,7 @@ class Worker {
   std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t pull_fallbacks_ = 0;
 
-  // Elastic-membership state. With the layer disabled, roster_ is the
-  // all-member epoch-0 view and excluded_ mirrors suspected_ exactly, so
-  // the shared training paths below behave bit-identically to the
-  // pre-elastic worker.
-  RosterView roster_;
-  /// Merged synchronization exclusion mask: suspected_[j] || !member(j).
-  /// Maintained incrementally (never rebuilt on the iteration hot path).
-  std::vector<bool> excluded_;
+  // Elastic-membership state.
   bool dormant_ = false;
   bool bootstrapping_ = false;
   /// Roster epoch when this bootstrap began: chunks from this tenure carry

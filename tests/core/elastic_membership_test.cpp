@@ -4,8 +4,8 @@
 // and the determinism contract (same seed + churn schedule => byte-
 // identical telemetry and final weights at any thread count, with or
 // without an observer attached). Unit tests for the pure pieces -
-// plan_bootstrap, allocate_lbs_live, RosterView::adopt, Autoscaler::decide
-// - pin the protocol-level invariants the integration runs rely on.
+// plan_bootstrap, allocate_lbs_live, Membership, Autoscaler::decide - pin
+// the protocol-level invariants the integration runs rely on.
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -192,10 +192,11 @@ TEST(ElasticMembership, JoinerBootstrapsFromMultiplePeers) {
 
   // Every live worker converged on the controller's roster.
   for (std::size_t w = 0; w < cluster.size(); ++w) {
-    EXPECT_EQ(cluster.worker(w).roster().epoch(),
+    EXPECT_EQ(cluster.worker(w).membership().epoch(),
               cluster.membership()->epoch())
         << "worker " << w;
-    EXPECT_EQ(cluster.worker(w).roster().member_count(), 5u) << "worker " << w;
+    EXPECT_EQ(cluster.worker(w).membership().member_count(), 5u)
+        << "worker " << w;
   }
 }
 
@@ -218,7 +219,8 @@ TEST(ElasticMembership, ScaleInWithoutAccuracyCliff) {
   // Survivors keep a consistent, renormalized roster...
   for (std::size_t w : {0u, 1u, 2u, 3u}) {
     EXPECT_FALSE(cluster.worker(w).dormant()) << "worker " << w;
-    EXPECT_EQ(cluster.worker(w).roster().member_count(), 4u) << "worker " << w;
+    EXPECT_EQ(cluster.worker(w).membership().member_count(), 4u)
+        << "worker " << w;
     EXPECT_GT(cluster.worker(w).iterations(), 50u) << "worker " << w;
   }
   // ...and the halved cluster still learns the task (no accuracy cliff).
@@ -255,6 +257,30 @@ TEST(ElasticMembership, DisabledElasticMatchesLegacyRunExactly) {
       }
     }
   }
+}
+
+TEST(ElasticMembership, RecoveringWorkerAdoptsCurrentRoster) {
+  // Worker 0 is crashed over [20, 40] while slot 4 joins at t=30: the
+  // joiner's RosterUpdate to worker 0 dead-letters. On recovery worker 0
+  // must adopt the controller's roster instead of keeping the one it had
+  // when it crashed (and then rejecting the joiner's traffic).
+  const data::TrainTest data = blobs_data();
+  ClusterSpec spec = spec_for(5, 120.0);
+  ElasticSpec elastic;
+  elastic.initial_workers = 4;
+  elastic.membership.schedule.join(4, 30.0);
+  spec.elastic = std::move(elastic);
+  spec.faults.crash(0, 20.0, 40.0);
+  Cluster cluster(spec, data.train, data.test);
+  cluster.run();
+
+  const MembershipController& controller = *cluster.membership();
+  ASSERT_EQ(controller.epoch(), 1u);
+  const Worker& recovered = cluster.worker(0);
+  EXPECT_EQ(recovered.recover_count(), 1u);
+  EXPECT_EQ(recovered.membership().epoch(), controller.epoch());
+  EXPECT_EQ(recovered.membership().member_count(), controller.member_count());
+  EXPECT_EQ(recovered.nonmember_rejected(), 0u);
 }
 
 // --- Unit tests for the pure protocol pieces. ----------------------------
@@ -327,8 +353,8 @@ TEST(AllocateLbsLive, RejectsEmptyLiveSetAndSizeMismatch) {
   EXPECT_THROW(allocate_lbs_live(16, rcps, {true}), std::invalid_argument);
 }
 
-TEST(RosterViewTest, AdoptsOnlyStrictlyNewerEpochs) {
-  RosterView view(4);  // legacy all-member roster at epoch 0
+TEST(MembershipTest, AdoptsOnlyStrictlyNewerEpochs) {
+  Membership view(4);  // legacy all-member roster at epoch 0
   EXPECT_EQ(view.member_count(), 4u);
 
   // Stale and duplicate epochs are ignored deterministically.
@@ -344,6 +370,83 @@ TEST(RosterViewTest, AdoptsOnlyStrictlyNewerEpochs) {
   EXPECT_FALSE(view.adopt(2, {true, true, true, true}));
   EXPECT_EQ(view.epoch(), 3u);
   EXPECT_EQ(view.member_count(), 2u);
+}
+
+/// The live count recomputed from scratch: non-excluded slots.
+std::size_t recount_live(const Membership& m) {
+  std::size_t live = 0;
+  for (std::size_t j = 0; j < m.capacity(); ++j) {
+    if (!m.excluded()[j]) ++live;
+  }
+  return live;
+}
+
+TEST(MembershipTest, SweepSuspectsOnlySilentMembers) {
+  Membership m({true, true, false, true}, /*self=*/0);
+  m.reset_liveness(0.0);
+  m.heard(3, 8.0);
+  EXPECT_TRUE(m.sweep(10.0, 6.0));
+  EXPECT_FALSE(m.suspected(0));  // the owner never suspects itself
+  EXPECT_TRUE(m.suspected(1));   // silent member
+  EXPECT_FALSE(m.suspected(2));  // silent non-member: never swept
+  EXPECT_FALSE(m.suspected(3));  // member heard within the timeout
+  EXPECT_FALSE(m.sweep(10.0, 6.0));  // nothing changed since
+}
+
+TEST(MembershipTest, HearingClearsSuspicionButReincludesOnlyMembers) {
+  Membership m(4, /*self=*/0);
+  m.reset_liveness(0.0);
+  ASSERT_TRUE(m.sweep(10.0, 6.0));
+  // Slot 3 leaves while suspected: it stays suspected and excluded.
+  ASSERT_TRUE(m.adopt(1, {true, true, true, false}, 10.0));
+  EXPECT_TRUE(m.suspected(3));
+  m.heard(3, 12.0);
+  EXPECT_FALSE(m.suspected(3));
+  EXPECT_EQ(m.last_heard(3), 12.0);
+  EXPECT_TRUE(m.excluded()[3]);  // not a member: still out
+  m.heard(1, 12.0);
+  EXPECT_FALSE(m.suspected(1));
+  EXPECT_FALSE(m.excluded()[1]);  // a member: back in
+  EXPECT_TRUE(m.excluded()[2]);   // still suspected
+}
+
+TEST(MembershipTest, NewMemberGetsFreshLastHeardStamp) {
+  Membership m({true, true, false}, /*self=*/0);
+  m.reset_liveness(0.0);
+  ASSERT_TRUE(m.adopt(1, {true, true, true}, 30.0));
+  EXPECT_EQ(m.last_heard(2), 30.0);
+  EXPECT_EQ(m.last_heard(1), 0.0);  // existing members keep their stamps
+  EXPECT_TRUE(m.sweep(33.0, 6.0));
+  EXPECT_TRUE(m.suspected(1));
+  EXPECT_FALSE(m.suspected(2));  // joined 3 s ago: not yet overdue
+}
+
+TEST(MembershipTest, CachedLiveCountEqualsRecount) {
+  // The owner is not a member (dormant) yet still counts as live.
+  Membership m({false, true, true, false, true}, /*self=*/0);
+  EXPECT_FALSE(m.excluded()[0]);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  EXPECT_EQ(m.live_count(), 4u);
+  m.reset_liveness(0.0);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  m.heard(2, 5.0);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  m.sweep(8.0, 6.0);  // slot 1 and 4 suspected, slot 2 fresh
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  EXPECT_EQ(m.live_count(), 2u);
+  m.adopt(1, {true, true, true, true, false}, 8.0);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  EXPECT_EQ(m.live_count(), 3u);  // 0, 2 and the fresh joiner 3
+  m.heard(4, 9.0);  // a non-member: suspicion clears, stays excluded
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  m.heard(1, 9.0);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  EXPECT_EQ(m.live_count(), 4u);
+  m.adopt(0, {true, true, true, true, true}, 9.0);  // stale: ignored
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  m.reset_liveness(20.0);
+  EXPECT_EQ(m.live_count(), recount_live(m));
+  EXPECT_EQ(m.live_count(), 4u);
 }
 
 TEST(AutoscalerPolicy, DecisionsFollowBottleneckAttribution) {

@@ -99,13 +99,13 @@ TEST(FaultTolerance, SuspicionRisesDuringCrashAndClearsAfterRecovery) {
   // suspected worker 2.
   cluster.run_until(40.0);
   EXPECT_TRUE(cluster.worker(2).crashed());
-  EXPECT_TRUE(cluster.worker(0).suspected_peers()[2]);
-  EXPECT_EQ(cluster.worker(0).live_worker_count(), 2u);
+  EXPECT_TRUE(cluster.worker(0).membership().suspected(2));
+  EXPECT_EQ(cluster.worker(0).membership().live_count(), 2u);
   // After recovery plus a few heartbeats the suspicion has cleared.
   cluster.run();
   EXPECT_FALSE(cluster.worker(2).crashed());
-  EXPECT_FALSE(cluster.worker(0).suspected_peers()[2]);
-  EXPECT_EQ(cluster.worker(0).live_worker_count(), 3u);
+  EXPECT_FALSE(cluster.worker(0).membership().suspected(2));
+  EXPECT_EQ(cluster.worker(0).membership().live_count(), 3u);
 }
 
 TEST(FaultTolerance, LossyLinksDegradeButDoNotStopTraining) {
@@ -173,7 +173,7 @@ TEST(FaultTolerance, EmptyScheduleAttachesNothingAndTouchesNoFaultState) {
   for (std::size_t w = 0; w < cluster.size(); ++w) {
     EXPECT_EQ(cluster.worker(w).crash_count(), 0u);
     EXPECT_EQ(cluster.worker(w).checkpoints_taken(), 0u);
-    EXPECT_EQ(cluster.worker(w).live_worker_count(), 3u);
+    EXPECT_EQ(cluster.worker(w).membership().live_count(), 3u);
   }
 }
 

@@ -2,13 +2,12 @@
 // contract. With publishing off, serving must not perturb training at all
 // (bit-identical weights, curve, traffic); with publishing on, replicas
 // track the freshest worker. Also covers the exp::RunSpec plumbing, the
-// obs on/off identity, thread-count invariance, and the serving+elastic
-// exclusivity check.
+// obs on/off identity, thread-count invariance, and serving composed with
+// elastic churn.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,13 +111,61 @@ TEST(ServingCluster, QuietServingLeavesTrainingBitIdentical) {
   }
 }
 
-TEST(ServingCluster, ServingAndElasticAreMutuallyExclusive) {
-  core::ClusterSpec spec = base_spec(2, 20.0);
+/// Four worker slots, three live at t=0; slot 3 joins and slot 1 leaves.
+core::ClusterSpec churn_spec() {
+  core::ClusterSpec spec = base_spec(4, 60.0);
+  core::ElasticSpec elastic;
+  elastic.initial_workers = 3;
+  elastic.membership.schedule.join(3, 15.0).leave(1, 35.0);
+  spec.elastic = std::move(elastic);
+  return spec;
+}
+
+TEST(ServingCluster, ServingComposesWithElasticChurn) {
+  // Serving slots are never roster members, at any point of the run.
+  core::ClusterSpec spec = churn_spec();
   spec.serving = quiet_serving();
-  spec.elastic = core::ElasticSpec{};
+  spec.serving->publish_period_s = 15.0;
   const data::TrainTest data = blobs_data();
-  EXPECT_THROW(core::Cluster(spec, data.train, data.test),
-               std::invalid_argument);
+  core::Cluster cluster(spec, data.train, data.test);
+  const std::size_t workers = spec.compute.size();
+  const std::size_t slots = workers + spec.serving->replicas;
+  for (double t = 1.0; t <= spec.duration_s; t += 1.0) {
+    cluster.run_until(t);
+    ASSERT_EQ(cluster.membership()->members().size(), slots);
+    for (std::size_t w = 0; w < workers; ++w) {
+      const core::Membership& m = cluster.worker(w).membership();
+      ASSERT_EQ(m.capacity(), slots);
+      for (std::size_t r = workers; r < slots; ++r) {
+        ASSERT_FALSE(m.is_member(r)) << "worker " << w << " slot " << r
+                                     << " at t=" << t;
+        ASSERT_FALSE(cluster.membership()->members()[r]);
+      }
+    }
+  }
+  cluster.run();
+  const core::ElasticStats elastic = cluster.membership()->stats();
+  EXPECT_EQ(elastic.joins, 1u);
+  EXPECT_EQ(elastic.leaves, 1u);
+  // With publishing on, replicas adopt every refresh (t = 15, 30, 45).
+  const serve::ServingStats& s = cluster.serving()->stats();
+  EXPECT_EQ(s.refreshes_published, 3u);
+  EXPECT_EQ(s.refreshes_adopted, 3u * spec.serving->replicas);
+
+  // With publishing off, training is bit-identical to the same churn run
+  // without serving.
+  core::ClusterSpec quiet = churn_spec();
+  quiet.serving = quiet_serving();
+  const TrainOut a = run_training(churn_spec());
+  const TrainOut b = run_training(quiet);
+  EXPECT_EQ(a.weights_hash, b.weights_hash);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.bytes, b.bytes);
+  ASSERT_EQ(a.curve.size(), b.curve.size());
+  for (std::size_t i = 0; i < a.curve.size(); ++i) {
+    EXPECT_EQ(a.curve[i].time, b.curve[i].time) << "point " << i;
+    EXPECT_EQ(a.curve[i].value, b.curve[i].value) << "point " << i;
+  }
 }
 
 TEST(ServingCluster, PublishingTracksTheFreshestWorker) {
