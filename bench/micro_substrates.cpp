@@ -1,9 +1,8 @@
 // Microbenchmarks (google-benchmark) for the substrates the experiments sit
-// on: GEMM, convolution via im2col, Max N / top-k selection, the message
-// codec, and the discrete-event engine + network.
+// on: GEMM, convolution via im2col, Max N / top-k selection, and the
+// discrete-event engine + network.
 #include <benchmark/benchmark.h>
 
-#include "comm/codec.h"
 #include "common/rng.h"
 #include "core/gradient_select.h"
 #include "nn/model_zoo.h"
@@ -72,35 +71,6 @@ void BM_TopKSelect(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_TopKSelect)->Arg(1 << 12)->Arg(1 << 16);
-
-void BM_CodecRoundTrip(benchmark::State& state) {
-  common::Rng rng(5);
-  comm::GradientUpdate u;
-  u.from = 1;
-  u.iteration = 10;
-  u.lbs = 32;
-  comm::VariableGrad vg;
-  vg.var_index = 0;
-  vg.dense_size = static_cast<std::uint32_t>(state.range(0));
-  std::vector<std::uint32_t> indices;
-  std::vector<float> values;
-  for (std::uint32_t i = 0; i < vg.dense_size; i += 3) {
-    indices.push_back(i);
-    values.push_back(static_cast<float>(rng.normal()));
-  }
-  vg.indices = indices;
-  vg.values = values;
-  u.vars.push_back(std::move(vg));
-  for (auto _ : state) {
-    const auto buf = comm::encode(u);
-    const auto back = comm::decode_gradient_update(buf);
-    benchmark::DoNotOptimize(back.vars.data());
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(comm::wire_bytes(u)));
-}
-BENCHMARK(BM_CodecRoundTrip)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventEngine(benchmark::State& state) {
   for (auto _ : state) {

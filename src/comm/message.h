@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "comm/payload.h"
+#include "common/units.h"
 
 namespace dlion::comm {
 
@@ -176,7 +177,21 @@ constexpr std::uint64_t flow_seq(FlowId id) {
 }
 
 /// True for messages that ride the control queue (small, latency-bound).
+/// The one place that splits messages into data and control.
 bool is_control(const Message& msg);
+
+/// Bytes the simulated network charges for `msg` (before the fabric's
+/// byte scaling). Control messages charge a flat 64 bytes. Data messages
+/// charge their fixed header fields, 4 bytes per length prefix and
+/// payload_bytes(msg), as a little-endian, unpadded encoding would be
+/// sized (DESIGN.md "Charged bytes are a fixed table").
+common::Bytes wire_bytes(const Message& msg);
+/// Same for a gradient the caller holds unwrapped. Debug and sanitizer
+/// builds check the gradient format here, on every charged send: each
+/// variable is empty; dense, with exactly dense_size values and no
+/// indices; or sparse, with strictly increasing indices below dense_size
+/// and one value each.
+common::Bytes wire_bytes(const GradientUpdate& update);
 
 /// Arena bytes a retained copy of `msg` pins (sum of its payload view
 /// lengths; 0 for control messages). Feeds the fabric's dead-letter

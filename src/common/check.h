@@ -23,10 +23,9 @@
 // every contract is unit-testable without death tests.
 //
 // These macros guard *internal invariants* — states the program logically
-// cannot reach. Errors a caller can trigger with bad input (malformed wire
-// bytes, user-supplied config) keep their typed exceptions
-// (comm::DecodeError, std::invalid_argument); contracts are not control
-// flow.
+// cannot reach. Errors a caller can trigger with bad input (user-supplied
+// config) keep their typed exceptions (std::invalid_argument); contracts
+// are not control flow.
 #pragma once
 
 #include <stdexcept>

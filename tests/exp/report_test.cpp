@@ -18,7 +18,12 @@ std::string slurp(const std::string& path) {
 
 class ReportTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = ::testing::TempDir() + "dlion_report.csv"; }
+  void SetUp() override {
+    // One file per test: ctest runs the tests of this suite in parallel.
+    path_ = ::testing::TempDir() + "dlion_report_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
 };

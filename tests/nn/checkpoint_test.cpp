@@ -13,7 +13,10 @@ namespace {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "dlion_checkpoint_test.bin";
+    // One file per test: ctest runs the tests of this suite in parallel.
+    path_ = ::testing::TempDir() + "dlion_checkpoint_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
