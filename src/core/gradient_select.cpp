@@ -23,6 +23,7 @@ void check_n(double n) {
 struct SelectWorkspace {
   std::vector<std::uint32_t> idx;
   std::vector<float> vals;
+  std::vector<float> mags;
 
   static SelectWorkspace& tls() {
     thread_local SelectWorkspace ws;
@@ -137,11 +138,6 @@ comm::VariableGrad select_max_n(std::span<const float> grad,
 }
 
 comm::VariableGrad dense_grad(std::span<const float> grad,
-                              std::uint32_t var_index) {
-  return dense_grad_impl(grad, var_index, nullptr);
-}
-
-comm::VariableGrad dense_grad(std::span<const float> grad,
                               std::uint32_t var_index,
                               comm::PayloadWriter& writer) {
   return dense_grad_impl(grad, var_index, &writer);
@@ -190,11 +186,9 @@ std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
 }
 
 namespace {
-comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
-                                          std::span<const float> mags,
-                                          std::uint32_t var_index,
-                                          std::size_t k, float* kth_mag,
-                                          comm::PayloadWriter* writer) {
+comm::VariableGrad select_top_k_impl(std::span<const float> grad,
+                                     std::uint32_t var_index, std::size_t k,
+                                     comm::PayloadWriter* writer) {
   if (k >= grad.size()) return dense_grad_impl(grad, var_index, writer);
   comm::VariableGrad v;
   v.var_index = var_index;
@@ -204,12 +198,13 @@ comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
   // The comparator reads the precomputed magnitudes: nth_element invokes it
   // O(n log n) times in the worst case, so hoisting fabs out of it matters.
   SelectWorkspace& ws = SelectWorkspace::tls();
+  magnitudes(grad, ws.mags);
   auto& idx = ws.idx;
   idx.resize(grad.size());
   for (std::size_t i = 0; i < grad.size(); ++i) {
     idx[i] = static_cast<std::uint32_t>(i);
   }
-  const float* m = mags.data();
+  const float* m = ws.mags.data();
   auto cmp = [m](std::uint32_t a, std::uint32_t b) {
     const float fa = m[a], fb = m[b];
     if (fa != fb) return fa > fb;
@@ -218,13 +213,6 @@ comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
   std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
                    idx.end(), cmp);
   idx.resize(k);
-  if (kth_mag != nullptr) {
-    // The selected set holds the top-k magnitude multiset, so its minimum
-    // is exactly the k-th largest magnitude (the effective threshold).
-    float mn = m[idx[0]];
-    for (std::uint32_t i : idx) mn = m[i] < mn ? m[i] : mn;
-    *kth_mag = mn;
-  }
   std::sort(idx.begin(), idx.end());
   auto& vals = ws.vals;
   vals.resize(k);
@@ -234,54 +222,20 @@ comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
 }
 }  // namespace
 
-comm::VariableGrad select_top_k_mags(std::span<const float> grad,
-                                     std::span<const float> mags,
-                                     std::uint32_t var_index, std::size_t k,
-                                     float* kth_mag) {
-  return select_top_k_mags_impl(grad, mags, var_index, k, kth_mag, nullptr);
-}
-
-comm::VariableGrad select_top_k_mags(std::span<const float> grad,
-                                     std::span<const float> mags,
-                                     std::uint32_t var_index, std::size_t k,
-                                     comm::PayloadWriter& writer,
-                                     float* kth_mag) {
-  return select_top_k_mags_impl(grad, mags, var_index, k, kth_mag, &writer);
-}
-
 comm::VariableGrad select_top_k(std::span<const float> grad,
                                 std::uint32_t var_index, std::size_t k) {
-  if (k >= grad.size()) return dense_grad(grad, var_index);
-  std::vector<float> mags;
-  magnitudes(grad, mags);
-  return select_top_k_mags(grad, mags, var_index, k);
+  return select_top_k_impl(grad, var_index, k, nullptr);
 }
 
 comm::VariableGrad select_top_k(std::span<const float> grad,
                                 std::uint32_t var_index, std::size_t k,
                                 comm::PayloadWriter& writer) {
-  if (k >= grad.size()) return dense_grad(grad, var_index, writer);
-  std::vector<float> mags;
-  magnitudes(grad, mags);
-  return select_top_k_mags(grad, mags, var_index, k, writer);
+  return select_top_k_impl(grad, var_index, k, &writer);
 }
 
 double equivalent_n_from_threshold(float max_abs, float kth_mag) {
   return (1.0 - static_cast<double>(kth_mag) / static_cast<double>(max_abs)) *
          100.0;
-}
-
-double equivalent_n(std::span<const float> grad, std::size_t k) {
-  if (grad.empty() || k >= grad.size()) return 100.0;
-  if (k == 0) return 0.0;
-  std::vector<float> mags;
-  const float mx = magnitudes(grad, mags);
-  if (mx == 0.0f) return 100.0;
-  // k-th largest magnitude is the effective threshold.
-  std::nth_element(mags.begin(),
-                   mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   mags.end(), std::greater<>());
-  return equivalent_n_from_threshold(mx, mags[k - 1]);
 }
 
 }  // namespace dlion::core

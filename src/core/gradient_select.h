@@ -23,24 +23,20 @@ namespace dlion::core {
 /// Threshold implied by Max N for a vector whose max-abs is `max_abs`.
 double max_n_threshold(double n, float max_abs);
 
-// Every selector below exists in two forms. The writer form packs the
-// selected (indices, values) arrays into the caller's PayloadWriter - the
-// strategies' hot path, one production write into an arena block, zero heap
-// allocations once the thread-local selection workspace is warm. The
-// writer-less form packs into a standalone exact-size block instead
-// (tests / callers without an arena); both produce identical entries - the
-// selection runs in a shared workspace and the output cannot depend on
-// where its bytes land.
-
 // ---------------------------------------------------------------------------
 // Fused magnitude workspace.
 //
 // A link generation needs several statistics of the same gradient vector
-// (its Max N floor, its top-k set, the equivalent N of that set). The naive
-// composition scans the gradient 4-5x, recomputing |g| each time. The
-// *_mags variants below share one magnitude pass: call magnitudes() once
-// per variable (reusing the caller's vector across variables so steady-state
-// link generation allocates nothing), then feed the result to the others.
+// (its Max N floor, its top-k set, the equivalent N of that set), and a
+// worker generates one link per peer over the same gradient. LinkPrioritizer
+// therefore computes the link-independent part once per iteration, in the
+// first generate() after begin_iteration(): magnitudes() fills |g| and
+// max|g| in one pass, count_max_n_mags() derives the min_n floor from them,
+// and one index ordering by (|g| descending, index ascending), extended
+// lazily as links ask for ranks not yet in place, serves every link's
+// top-k. Each link then reports its equivalent N from the k-th largest
+// magnitude with equivalent_n_from_threshold(), without another partial
+// sort.
 // ---------------------------------------------------------------------------
 
 /// Fill `mags[i] = |grad[i]|` (resizing as needed) and return max|grad|.
@@ -51,23 +47,18 @@ float magnitudes(std::span<const float> grad, std::vector<float>& mags);
 std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
                              double n);
 
-/// select_top_k on precomputed magnitudes. When k is in (0, grad.size()),
-/// also reports the k-th largest magnitude - the effective selection
-/// threshold - via `kth_mag`, letting callers derive equivalent_n without
-/// a second partial sort.
-comm::VariableGrad select_top_k_mags(std::span<const float> grad,
-                                     std::span<const float> mags,
-                                     std::uint32_t var_index, std::size_t k,
-                                     float* kth_mag = nullptr);
-comm::VariableGrad select_top_k_mags(std::span<const float> grad,
-                                     std::span<const float> mags,
-                                     std::uint32_t var_index, std::size_t k,
-                                     comm::PayloadWriter& writer,
-                                     float* kth_mag = nullptr);
-
-/// equivalent_n given a precomputed effective threshold (the k-th largest
-/// magnitude) and max-abs. Matches equivalent_n() bit-for-bit.
+/// The N whose Max N threshold equals `kth_mag` (the k-th largest
+/// magnitude of a top-k selection) for a vector whose max-abs is `max_abs`:
+/// the "equivalent N" of a size-driven selection.
 double equivalent_n_from_threshold(float max_abs, float kth_mag);
+
+// select_max_n and select_top_k exist in two forms. The writer form packs
+// the selected (indices, values) arrays into the caller's PayloadWriter -
+// the strategies' hot path, one production write into an arena block, zero
+// heap allocations once the thread-local selection workspace is warm. The
+// writer-less form packs into a standalone exact-size block instead (tests,
+// benches); both produce identical entries - the selection runs in a shared
+// workspace and the output cannot depend on where its bytes land.
 
 /// Select entries of `grad` with |g| >= (1 - n/100) * max|g|. n in (0, 100].
 /// n == 100 returns a dense VariableGrad.
@@ -87,16 +78,10 @@ comm::VariableGrad select_top_k(std::span<const float> grad,
 
 /// Dense VariableGrad over all of `grad` (what Max N = 100 selects).
 comm::VariableGrad dense_grad(std::span<const float> grad,
-                              std::uint32_t var_index);
-comm::VariableGrad dense_grad(std::span<const float> grad,
                               std::uint32_t var_index,
                               comm::PayloadWriter& writer);
 
 /// Number of entries Max N would select, without materializing them.
 std::size_t count_max_n(std::span<const float> grad, double n);
-
-/// The N value whose Max N threshold equals selecting the top-k entries of
-/// `grad` (for reporting the "equivalent N" of a size-driven selection).
-double equivalent_n(std::span<const float> grad, std::size_t k);
 
 }  // namespace dlion::core

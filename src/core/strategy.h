@@ -45,7 +45,13 @@ class PartialGradientStrategy {
 
   /// Called once per iteration, before any per-link generation, with the
   /// model holding the fresh local gradients. Strategies with cross-link
-  /// state (accumulators, partitions) update it here.
+  /// state (accumulators, partitions) update it here. State that must not
+  /// outlive the iteration (staged payloads, shared selection orderings) is
+  /// invalidated here and never by comparing LinkContext::iteration: a
+  /// recovering worker rewinds its iteration counter to its checkpoint and
+  /// repeats iteration numbers with new gradients. A strategy that was
+  /// never given begin_iteration() treats its first generate() as the start
+  /// of an iteration.
   virtual void begin_iteration(const nn::Model& model,
                                std::uint64_t iteration) {
     (void)model;

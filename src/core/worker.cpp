@@ -44,6 +44,7 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
       shard_(std::move(shard)),
       test_set_(test_set),
       strategy_(std::move(strategy)),
+      link_prioritizer_(dynamic_cast<LinkPrioritizer*>(strategy_.get())),
       options_(std::move(options)),
       sampler_(shard_, seed),
       gbs_ctrl_(options_.gbs),
@@ -491,8 +492,8 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
     update.vars = strategy_->generate(built_.model, ctx);
     entries_traces_[peer].record(engine_->now(),
                                  static_cast<double>(update.num_entries()));
-    if (auto* lp = dynamic_cast<LinkPrioritizer*>(strategy_.get())) {
-      chosen_n_trace_.record(engine_->now(), lp->last_n());
+    if (link_prioritizer_ != nullptr) {
+      chosen_n_trace_.record(engine_->now(), link_prioritizer_->last_n());
     }
     if (obs::on(obs_)) {
       // Per-link gradient size (the quantity Fig. 8 studies). Charged

@@ -28,6 +28,8 @@
 
 namespace dlion::core {
 
+class LinkPrioritizer;
+
 /// Fault-tolerance / graceful-degradation layer (DESIGN.md §4).
 ///
 /// When enabled the worker broadcasts periodic heartbeats, suspects peers it
@@ -277,6 +279,8 @@ class Worker {
   data::Dataset shard_;
   const data::Dataset* test_set_;
   StrategyPtr strategy_;
+  /// strategy_ when it is DLion's prioritizer (for the chosen-N trace).
+  LinkPrioritizer* link_prioritizer_;
   WorkerOptions options_;
   data::MinibatchSampler sampler_;
   data::Batch eval_batch_;

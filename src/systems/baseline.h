@@ -9,6 +9,9 @@ namespace dlion::systems {
 
 class BaselineStrategy : public core::PartialGradientStrategy {
  public:
+  /// Drops the staged gradient; the next generate() stages the fresh one.
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
       const nn::Model& model, const core::LinkContext& ctx) override;
   const char* name() const override { return "baseline"; }
@@ -16,8 +19,6 @@ class BaselineStrategy : public core::PartialGradientStrategy {
  private:
   /// Per-iteration staged gradient, shared by every peer's update.
   std::vector<comm::VariableGrad> staged_;
-  std::uint64_t staged_iteration_ = 0;
-  bool staged_valid_ = false;
 };
 
 }  // namespace dlion::systems

@@ -14,6 +14,13 @@ PragueStrategy::PragueStrategy(std::size_t group_size, std::uint64_t seed)
   }
 }
 
+void PragueStrategy::begin_iteration(const nn::Model& model,
+                                     std::uint64_t iteration) {
+  (void)model;
+  (void)iteration;
+  staged_.clear();
+}
+
 void PragueStrategy::draw_group(std::size_t self, std::size_t n_workers) {
   // Draw this iteration's randomized peer group from the worker's own
   // stream (group choices are independent across workers, as in Prague's
@@ -44,9 +51,8 @@ std::vector<comm::VariableGrad> PragueStrategy::generate(
   // Whole gradients for the drawn group, staged once per iteration (lazily,
   // on the group's first peer); the remaining group members share views
   // over the same production write.
-  if (!staged_valid_ || staged_iteration_ != ctx.iteration) {
+  if (staged_.empty()) {
     comm::PayloadWriter writer(payload_arena(ctx));
-    staged_.clear();
     const auto& vars = model.variables();
     staged_.reserve(vars.size());
     for (std::size_t v = 0; v < vars.size(); ++v) {
@@ -54,8 +60,6 @@ std::vector<comm::VariableGrad> PragueStrategy::generate(
                                          static_cast<std::uint32_t>(v),
                                          writer));
     }
-    staged_iteration_ = ctx.iteration;
-    staged_valid_ = true;
   }
   return staged_;
 }

@@ -20,6 +20,9 @@ class PragueStrategy : public core::PartialGradientStrategy {
   /// (clamped to n-1 once the cluster size is known).
   PragueStrategy(std::size_t group_size, std::uint64_t seed);
 
+  /// Drops the staged gradient; the next group peer stages the fresh one.
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
       const nn::Model& model, const core::LinkContext& ctx) override;
   const char* name() const override { return "prague"; }
@@ -36,8 +39,6 @@ class PragueStrategy : public core::PartialGradientStrategy {
   std::vector<std::size_t> group_;
   /// Per-iteration staged gradient, shared by every group peer's update.
   std::vector<comm::VariableGrad> staged_;
-  std::uint64_t staged_iteration_ = 0;
-  bool staged_valid_ = false;
 };
 
 }  // namespace dlion::systems

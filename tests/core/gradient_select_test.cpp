@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
@@ -16,6 +17,19 @@ std::vector<float> random_grad(std::size_t n, std::uint64_t seed) {
   std::vector<float> g(n);
   for (auto& v : g) v = static_cast<float>(rng.normal());
   return g;
+}
+
+/// k-th largest magnitude of `g` (1 <= k <= size): the effective threshold
+/// of a top-k selection.
+float kth_magnitude(const std::vector<float>& g, std::size_t k) {
+  std::vector<float> mags(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) mags[i] = std::fabs(g[i]);
+  std::sort(mags.begin(), mags.end(), std::greater<>());
+  return mags[k - 1];
+}
+
+float max_magnitude(const std::vector<float>& g) {
+  return kth_magnitude(g, 1);
 }
 
 TEST(MaxN, N100IsDense) {
@@ -118,22 +132,26 @@ TEST(TopK, AgreesWithMaxNAtEquivalentThreshold) {
   // same entry count (modulo magnitude ties, absent in random floats).
   const auto g = random_grad(400, 9);
   const std::size_t k = 37;
-  const double n = equivalent_n(g, k);
+  const double n =
+      equivalent_n_from_threshold(max_magnitude(g), kth_magnitude(g, k));
   EXPECT_EQ(count_max_n(g, n), k);
 }
 
 TEST(EquivalentN, Extremes) {
+  // A threshold at the maximum keeps only the maximum (N = 0); a zero
+  // threshold keeps everything (N = 100).
   const auto g = random_grad(100, 10);
-  EXPECT_DOUBLE_EQ(equivalent_n(g, 100), 100.0);
-  EXPECT_DOUBLE_EQ(equivalent_n(g, 0), 0.0);
-  EXPECT_DOUBLE_EQ(equivalent_n({}, 5), 100.0);
+  const float mx = max_magnitude(g);
+  EXPECT_DOUBLE_EQ(equivalent_n_from_threshold(mx, mx), 0.0);
+  EXPECT_DOUBLE_EQ(equivalent_n_from_threshold(mx, 0.0f), 100.0);
 }
 
 TEST(EquivalentN, MonotoneInK) {
   const auto g = random_grad(100, 11);
+  const float mx = max_magnitude(g);
   double prev = -1;
   for (std::size_t k : {1u, 10u, 40u, 90u}) {
-    const double n = equivalent_n(g, k);
+    const double n = equivalent_n_from_threshold(mx, kth_magnitude(g, k));
     EXPECT_GE(n, prev);
     prev = n;
   }

@@ -4,6 +4,7 @@
 
 #include "core/gradient_select.h"
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "nn/model_zoo.h"
 
@@ -128,6 +129,27 @@ TEST(LinkPrioritizer, ReportsLastEntries) {
   LinkPrioritizer lp({});
   const auto out = lp.generate(bm.model, make_ctx(0.1, 1.0));
   EXPECT_EQ(lp.last_entries(), total_entries(out));
+}
+
+TEST(LinkPrioritizer, GradientChangeWithoutBeginIterationIsCaught) {
+  // The per-iteration selection state is rebuilt only after
+  // begin_iteration(); DCHECK builds catch a caller that skips it.
+  common::ScopedContractThrow guard;
+  for (const bool adaptive : {true, false}) {
+    nn::BuiltModel bm = model_with_gradients(10);
+    LinkPrioritizerConfig cfg;
+    cfg.adaptive = adaptive;
+    LinkPrioritizer lp(cfg);
+    lp.begin_iteration(bm.model, 0);
+    (void)lp.generate(bm.model, make_ctx(0.1, 1.0));
+    bm.model.variables()[0]->grad().span()[0] = 1e6f;
+    if constexpr (common::kDchecksEnabled) {
+      EXPECT_THROW(lp.generate(bm.model, make_ctx(0.1, 1.0)),
+                   common::ContractViolation);
+    }
+    lp.begin_iteration(bm.model, 0);
+    EXPECT_NO_THROW(lp.generate(bm.model, make_ctx(0.1, 1.0)));
+  }
 }
 
 }  // namespace

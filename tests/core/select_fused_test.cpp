@@ -1,10 +1,13 @@
 // Tests for the fused selection paths: the single-pass select_max_n must
-// match the obvious two-pass semantics exactly, and the magnitude-sharing
-// *_mags variants must agree with their rescanning counterparts.
+// match the obvious two-pass semantics exactly, the magnitude-sharing
+// helpers must agree with their rescanning counterparts, and select_top_k
+// must match a full-sort oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -96,35 +99,33 @@ TEST(CountMaxNMags, MatchesCountMaxN) {
   }
 }
 
-TEST(SelectTopKMags, MatchesSelectTopKAndReportsThreshold) {
+TEST(SelectTopK, MatchesFullSortOracle) {
+  // Oracle: rank every index by (|g| descending, index ascending) with a
+  // full sort, keep the first k, return them in index order.
   const auto grad = random_grad(500, 23);
-  std::vector<float> mags;
-  const float mx = magnitudes(grad, mags);
+  std::vector<std::uint32_t> ranked(grad.size());
+  std::iota(ranked.begin(), ranked.end(), 0u);
+  std::sort(ranked.begin(), ranked.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const float fa = std::fabs(grad[a]), fb = std::fabs(grad[b]);
+    return fa != fb ? fa > fb : a < b;
+  });
   for (std::size_t k : {1u, 10u, 250u, 499u}) {
-    const auto plain = select_top_k(grad, 1, k);
-    float kth = -1.0f;
-    const auto fused = select_top_k_mags(grad, mags, 1, k, &kth);
-    ASSERT_EQ(plain.indices, fused.indices) << k;
-    ASSERT_EQ(plain.values, fused.values) << k;
-    // kth magnitude is the min magnitude of the selected set, and the
-    // equivalent-N derived from it matches the rescanning equivalent_n.
-    float mn = 3.4e38f;
-    for (float v : fused.values) mn = std::min(mn, std::fabs(v));
-    EXPECT_EQ(mn, kth) << k;
-    EXPECT_DOUBLE_EQ(equivalent_n(grad, k),
-                     equivalent_n_from_threshold(mx, kth))
-        << k;
+    std::vector<std::uint32_t> want(ranked.begin(), ranked.begin() + k);
+    std::sort(want.begin(), want.end());
+    std::vector<float> want_vals;
+    for (std::uint32_t i : want) want_vals.push_back(grad[i]);
+    const auto got = select_top_k(grad, 1, k);
+    ASSERT_EQ(want, got.indices) << k;
+    ASSERT_EQ(want_vals, got.values) << k;
   }
 }
 
-TEST(SelectTopKMags, DenseAndEmptyEdges) {
+TEST(SelectTopK, DenseAndEmptyEdges) {
   const auto grad = random_grad(8, 29);
-  std::vector<float> mags;
-  magnitudes(grad, mags);
-  const auto dense = select_top_k_mags(grad, mags, 2, 8);
+  const auto dense = select_top_k(grad, 2, 8);
   EXPECT_TRUE(dense.indices.empty());  // dense representation
   EXPECT_EQ(8u, dense.values.size());
-  const auto none = select_top_k_mags(grad, mags, 2, 0);
+  const auto none = select_top_k(grad, 2, 0);
   EXPECT_TRUE(none.indices.empty());
   EXPECT_TRUE(none.values.empty());
 }

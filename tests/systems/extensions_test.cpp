@@ -121,6 +121,24 @@ TEST(Prague, GroupNeverContainsSelf) {
   }
 }
 
+TEST(Prague, RestagesAfterBeginIterationAtRepeatedIteration) {
+  // A recovering worker rewinds to its checkpoint and repeats iteration
+  // numbers it already sent; its group must get the fresh gradient.
+  nn::BuiltModel bm = model_with_gradients(7, 1.0f);
+  PragueStrategy s(2, 17);
+  s.begin_iteration(bm.model, 7);
+  (void)s.generate(bm.model, ctx_for(0, 1, 7, 6));
+  const std::size_t peer = s.current_group().front();
+  (void)s.generate(bm.model, ctx_for(0, peer, 7, 6));
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(2.0f);
+  s.begin_iteration(bm.model, 7);
+  const auto out = s.generate(bm.model, ctx_for(0, peer, 7, 6));
+  ASSERT_EQ(total_entries(out), bm.model.num_params());
+  for (const auto& vg : out) {
+    for (float g : vg.values) EXPECT_EQ(g, 2.0f);
+  }
+}
+
 TEST(Prague, InvalidGroupSizeThrows) {
   EXPECT_THROW(PragueStrategy(0, 1), std::invalid_argument);
 }

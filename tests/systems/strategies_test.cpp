@@ -53,6 +53,22 @@ TEST(Baseline, SendsWholeGradientsDense) {
   for (const auto& vg : out) EXPECT_TRUE(vg.is_dense());
 }
 
+TEST(Baseline, RestagesAfterBeginIterationAtRepeatedIteration) {
+  // A recovering worker rewinds to its checkpoint and repeats iteration
+  // numbers it already sent; the repeat must carry the fresh gradient.
+  nn::BuiltModel bm = model_with_gradients(1);
+  BaselineStrategy s;
+  s.begin_iteration(bm.model, 7);
+  (void)s.generate(bm.model, ctx_for(1, 7));
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(0.5f);
+  s.begin_iteration(bm.model, 7);
+  const auto out = s.generate(bm.model, ctx_for(1, 7));
+  ASSERT_EQ(total_entries(out), bm.model.num_params());
+  for (const auto& vg : out) {
+    for (float g : vg.values) EXPECT_EQ(g, 0.5f);
+  }
+}
+
 TEST(Hop, GradientSideIsBaseline) {
   nn::BuiltModel bm = model_with_gradients(2);
   HopStrategy s;
