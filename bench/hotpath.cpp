@@ -28,10 +28,10 @@
 #include "common/rng.h"
 #include "core/gradient_select.h"
 #include "core/weighted_update.h"
+#include "gemm_ref.h"
 #include "nn/model_zoo.h"
 #include "sim/engine.h"
 #include "sim/network.h"
-#include "tensor/gemm_ref.h"
 #include "tensor/ops.h"
 
 // Global allocation hook (defines operator new/delete; one TU per binary).

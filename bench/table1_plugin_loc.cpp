@@ -75,8 +75,10 @@ int main() {
   const int gaia_gen = function_loc(gaia, "GaiaStrategy::generate");
   const int ako_gen = function_loc(ako, "AkoStrategy::generate");
   // Hop reuses the Baseline gradient plugin; its distinguishing code is the
-  // bounded-staleness/backup-worker synchronization policy.
-  const int sync_loc = function_loc(sync, "can_start_iteration");
+  // bounded-staleness/backup-worker synchronization policy. The marker is
+  // the policy overload's last parameter: the other overload only forwards.
+  const int sync_loc =
+      function_loc(sync, "std::size_t self, const std::vector<bool>& suspected)");
 
   table.row()
       .cell("generate_partial_gradients")

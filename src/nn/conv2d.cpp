@@ -67,6 +67,15 @@ tensor::Tensor Conv2D::forward(const tensor::Tensor& input, bool /*train*/) {
 }
 
 tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output) {
+  return backward_impl(grad_output, /*input_grad=*/true);
+}
+
+void Conv2D::backward_weights(const tensor::Tensor& grad_output) {
+  backward_impl(grad_output, /*input_grad=*/false);
+}
+
+tensor::Tensor Conv2D::backward_impl(const tensor::Tensor& grad_output,
+                                     bool input_grad) {
   const std::size_t n = cached_input_.shape()[0];
   const std::size_t h = cached_input_.shape()[2];
   const std::size_t w = cached_input_.shape()[3];
@@ -89,19 +98,25 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output) {
     tensor::apply_mask(dy, mask_.data(), masked, total);
     dy = masked;
   }
-  tensor::Tensor grad_in(cached_input_.shape());
-  float* dcol = dcol_.ensure(col_rows * col_cols);
+  tensor::Tensor grad_in;
+  float* dcol = nullptr;
+  if (input_grad) {
+    grad_in = tensor::Tensor(cached_input_.shape());
+    dcol = dcol_.ensure(col_rows * col_cols);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const float* dout = dy + i * out_c_ * col_cols;
     const float* col = cols_.data() + i * col_rows * col_cols;
     // dW += dout (out_c x col_cols) * col^T (col_cols x col_rows)
     tensor::gemm(false, true, out_c_, col_rows, col_cols, 1.0f, dout, col,
                  1.0f, weight_.grad().data());
-    // dcol = W^T (col_rows x out_c) * dout
-    tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
-                 weight_.value().data(), dout, 0.0f, dcol);
-    tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
-                   grad_in.data() + i * in_c_ * h * w);
+    if (input_grad) {
+      // dcol = W^T (col_rows x out_c) * dout
+      tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
+                   weight_.value().data(), dout, 0.0f, dcol);
+      tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
+                     grad_in.data() + i * in_c_ * h * w);
+    }
     // db += per-channel sums of dout
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float* plane = dout + oc * col_cols;

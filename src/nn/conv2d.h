@@ -22,6 +22,7 @@ class Conv2D : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void backward_weights(const tensor::Tensor& grad_output) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
   const char* kind() const override {
@@ -31,6 +32,11 @@ class Conv2D : public Layer {
   bool fused_relu() const { return fuse_relu_; }
 
  private:
+  /// Accumulates dW and db; returns dx when `input_grad`, else an empty
+  /// tensor (no W^T GEMM, no col2im).
+  tensor::Tensor backward_impl(const tensor::Tensor& grad_output,
+                               bool input_grad);
+
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   bool fuse_relu_;
   Variable weight_;  // (out_c, in_c * k * k)

@@ -21,6 +21,7 @@ class Dense : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void backward_weights(const tensor::Tensor& grad_output) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
   const char* kind() const override { return fuse_relu_ ? "DenseReLU" : "Dense"; }
@@ -30,6 +31,11 @@ class Dense : public Layer {
   bool fused_relu() const { return fuse_relu_; }
 
  private:
+  /// Accumulates dW and db; returns dx when `input_grad`, else an empty
+  /// tensor.
+  tensor::Tensor backward_impl(const tensor::Tensor& grad_output,
+                               bool input_grad);
+
   std::size_t in_;
   std::size_t out_;
   bool fuse_relu_;

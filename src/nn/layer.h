@@ -26,6 +26,14 @@ class Layer {
   /// the layer's Variable grads, and returns dL/d(input).
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
+  /// Backward pass of a model's first trainable layer, whose dL/d(input)
+  /// nothing reads: accumulates dL/d(variables) exactly as backward() does
+  /// and skips the input gradient. The default runs backward() and drops
+  /// its result.
+  virtual void backward_weights(const tensor::Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Trainable variables (possibly empty). Pointers remain valid for the
   /// layer's lifetime.
   virtual std::vector<Variable*> variables() { return {}; }

@@ -11,7 +11,11 @@ std::size_t Snapshot::num_params() const {
 }
 
 Model& Model::add(LayerPtr layer) {
-  for (Variable* v : layer->variables()) variables_.push_back(v);
+  const std::vector<Variable*> vars = layer->variables();
+  if (!vars.empty() && first_trainable_ == kNoLayer) {
+    first_trainable_ = layers_.size();
+  }
+  variables_.insert(variables_.end(), vars.begin(), vars.end());
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -31,10 +35,14 @@ LossResult Model::compute_gradients(const tensor::Tensor& input,
   zero_grads();
   tensor::Tensor logits = forward(input, /*train=*/true);
   LossResult res = softmax_cross_entropy(logits, labels);
+  if (first_trainable_ == kNoLayer) return res;
+  // Backprop stops at the first trainable layer: the gradient w.r.t. its
+  // input (and everything in front of it) has no reader.
   tensor::Tensor grad = res.grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size() - 1; i > first_trainable_; --i) {
+    grad = layers_[i]->backward(grad);
   }
+  layers_[first_trainable_]->backward_weights(grad);
   return res;
 }
 

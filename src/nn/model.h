@@ -44,7 +44,8 @@ class Model {
   tensor::Tensor forward(const tensor::Tensor& input, bool train = false);
 
   /// One training evaluation: zeroes grads, runs forward, computes softmax
-  /// cross-entropy against labels, backpropagates into variable grads.
+  /// cross-entropy against labels, backpropagates into variable grads. The
+  /// gradient w.r.t. the input is never formed.
   LossResult compute_gradients(const tensor::Tensor& input,
                                std::span<const std::int32_t> labels);
 
@@ -72,8 +73,12 @@ class Model {
   Layer& layer(std::size_t i) { return *layers_[i]; }
 
  private:
+  static constexpr std::size_t kNoLayer = static_cast<std::size_t>(-1);
+
   std::vector<LayerPtr> layers_;
   std::vector<Variable*> variables_;
+  /// Index of the first layer with variables; kNoLayer until one is added.
+  std::size_t first_trainable_ = kNoLayer;
 };
 
 }  // namespace dlion::nn

@@ -46,12 +46,17 @@ AkoStrategy::PeerState& AkoStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
+void AkoStrategy::begin_iteration(const nn::Model& /*model*/,
+                                 std::uint64_t /*iteration*/) {
+  ++iterations_begun_;
+}
+
 std::vector<comm::VariableGrad> AkoStrategy::generate(
     const nn::Model& model, const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx);
   const auto& vars = model.variables();
-  if (st.last_accumulated_iter != ctx.iteration) {
-    st.last_accumulated_iter = ctx.iteration;
+  if (st.accumulated_at != iterations_begun_) {
+    st.accumulated_at = iterations_begun_;
     for (std::size_t v = 0; v < vars.size(); ++v) {
       const float* g = vars[v]->grad().data();
       float* acc = st.acc[v].data();

@@ -18,6 +18,10 @@ class AkoStrategy : public core::PartialGradientStrategy {
   /// p ~= full nominal gradient bytes / per-iteration link byte budget.
   explicit AkoStrategy(std::size_t partitions = 0);
 
+  /// Starts an iteration: each peer's accumulator takes the fresh gradient
+  /// once, on its next generate().
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
       const nn::Model& model, const core::LinkContext& ctx) override;
   const char* name() const override { return "ako"; }
@@ -28,13 +32,18 @@ class AkoStrategy : public core::PartialGradientStrategy {
  private:
   struct PeerState {
     std::size_t p = 0;
-    std::uint64_t last_accumulated_iter = static_cast<std::uint64_t>(-1);
+    /// iterations_begun_ when the accumulator last took the gradient.
+    std::uint64_t accumulated_at = static_cast<std::uint64_t>(-1);
     std::vector<std::vector<float>> acc;  // per variable accumulated grads
   };
   PeerState& peer_state(const nn::Model& model, const core::LinkContext& ctx);
 
   std::size_t configured_p_;
   std::vector<PeerState> peers_;
+  /// Bumped by begin_iteration; keys the once-per-iteration accumulation,
+  /// which must not compare iteration numbers (a recovering worker repeats
+  /// them with fresh gradients).
+  std::uint64_t iterations_begun_ = 0;
 };
 
 }  // namespace dlion::systems

@@ -27,12 +27,17 @@ DgcStrategy::PeerState& DgcStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
+void DgcStrategy::begin_iteration(const nn::Model& /*model*/,
+                                 std::uint64_t /*iteration*/) {
+  ++iterations_begun_;
+}
+
 std::vector<comm::VariableGrad> DgcStrategy::generate(
     const nn::Model& model, const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx.peer);
   const auto& vars = model.variables();
-  if (st.last_accumulated_iter != ctx.iteration) {
-    st.last_accumulated_iter = ctx.iteration;
+  if (st.accumulated_at != iterations_begun_) {
+    st.accumulated_at = iterations_begun_;
     for (std::size_t v = 0; v < vars.size(); ++v) {
       const float* g = vars[v]->grad().data();
       float* r = st.residual[v].data();

@@ -19,19 +19,28 @@ class DgcStrategy : public core::PartialGradientStrategy {
   /// `density`: fraction of each variable's entries shipped per iteration.
   explicit DgcStrategy(double density = 0.01);
 
+  /// Starts an iteration: each peer's accumulator takes the fresh gradient
+  /// once, on its next generate().
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
       const nn::Model& model, const core::LinkContext& ctx) override;
   const char* name() const override { return "dgc"; }
 
  private:
   struct PeerState {
-    std::uint64_t last_accumulated_iter = static_cast<std::uint64_t>(-1);
+    /// iterations_begun_ when the accumulator last took the gradient.
+    std::uint64_t accumulated_at = static_cast<std::uint64_t>(-1);
     std::vector<std::vector<float>> residual;  // error-feedback accumulator
   };
   PeerState& peer_state(const nn::Model& model, std::size_t peer);
 
   double density_;
   std::vector<PeerState> peers_;
+  /// Bumped by begin_iteration; keys the once-per-iteration accumulation,
+  /// which must not compare iteration numbers (a recovering worker repeats
+  /// them with fresh gradients).
+  std::uint64_t iterations_begun_ = 0;
 };
 
 }  // namespace dlion::systems

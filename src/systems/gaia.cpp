@@ -28,14 +28,19 @@ GaiaStrategy::PeerState& GaiaStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
+void GaiaStrategy::begin_iteration(const nn::Model& /*model*/,
+                                  std::uint64_t /*iteration*/) {
+  ++iterations_begun_;
+}
+
 std::vector<comm::VariableGrad> GaiaStrategy::generate(
     const nn::Model& model, const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx.peer);
   const auto& vars = model.variables();
   // Fold this iteration's gradients into the per-peer accumulator exactly
   // once (generate is called once per peer per iteration).
-  if (st.last_accumulated_iter != ctx.iteration) {
-    st.last_accumulated_iter = ctx.iteration;
+  if (st.accumulated_at != iterations_begun_) {
+    st.accumulated_at = iterations_begun_;
     for (std::size_t v = 0; v < vars.size(); ++v) {
       const float* g = vars[v]->grad().data();
       float* acc = st.acc[v].data();

@@ -17,19 +17,28 @@ class GaiaStrategy : public core::PartialGradientStrategy {
   /// `significance_percent`: the S threshold (paper evaluation: S = 1%).
   explicit GaiaStrategy(double significance_percent = 1.0);
 
+  /// Starts an iteration: each peer's accumulator takes the fresh gradient
+  /// once, on its next generate().
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
       const nn::Model& model, const core::LinkContext& ctx) override;
   const char* name() const override { return "gaia"; }
 
  private:
   struct PeerState {
-    std::uint64_t last_accumulated_iter = static_cast<std::uint64_t>(-1);
+    /// iterations_begun_ when the accumulator last took the gradient.
+    std::uint64_t accumulated_at = static_cast<std::uint64_t>(-1);
     std::vector<std::vector<float>> acc;  // per variable accumulated grads
   };
   PeerState& peer_state(const nn::Model& model, std::size_t peer);
 
   double significance_;
   std::vector<PeerState> peers_;
+  /// Bumped by begin_iteration; keys the once-per-iteration accumulation,
+  /// which must not compare iteration numbers (a recovering worker repeats
+  /// them with fresh gradients).
+  std::uint64_t iterations_begun_ = 0;
   /// Selection staging, reused across calls (capacity-warm after the first
   /// iteration); the payloads are packed from here in one production write.
   std::vector<std::uint32_t> scratch_idx_;

@@ -18,6 +18,7 @@ void PragueStrategy::begin_iteration(const nn::Model& model,
                                      std::uint64_t iteration) {
   (void)model;
   (void)iteration;
+  group_stale_ = true;
   staged_.clear();
 }
 
@@ -41,8 +42,8 @@ void PragueStrategy::draw_group(std::size_t self, std::size_t n_workers) {
 
 std::vector<comm::VariableGrad> PragueStrategy::generate(
     const nn::Model& model, const core::LinkContext& ctx) {
-  if (group_iteration_ != ctx.iteration) {
-    group_iteration_ = ctx.iteration;
+  if (group_stale_) {
+    group_stale_ = false;
     draw_group(ctx.self, ctx.n_workers);
   }
   if (!std::binary_search(group_.begin(), group_.end(), ctx.peer)) {

@@ -20,7 +20,8 @@ class PragueStrategy : public core::PartialGradientStrategy {
   /// (clamped to n-1 once the cluster size is known).
   PragueStrategy(std::size_t group_size, std::uint64_t seed);
 
-  /// Drops the staged gradient; the next group peer stages the fresh one.
+  /// Drops the staged gradient and the group; the next generate() draws a
+  /// new group and its first group peer stages the fresh gradient.
   void begin_iteration(const nn::Model& model,
                        std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(
@@ -35,7 +36,9 @@ class PragueStrategy : public core::PartialGradientStrategy {
 
   std::size_t group_size_;
   common::Rng rng_;
-  std::uint64_t group_iteration_ = static_cast<std::uint64_t>(-1);
+  /// Set by begin_iteration, never by comparing iteration numbers: a
+  /// recovering worker repeats them and must draw a fresh group.
+  bool group_stale_ = true;
   std::vector<std::size_t> group_;
   /// Per-iteration staged gradient, shared by every group peer's update.
   std::vector<comm::VariableGrad> staged_;

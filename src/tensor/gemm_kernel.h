@@ -51,4 +51,11 @@ const MicroKernel& avx2_micro_kernel();
 /// supports, unless overridden via DLION_GEMM_KERNEL.
 const MicroKernel& active_micro_kernel();
 
+/// The blocked, packed GEMM of tensor::gemm (tensor/ops.cpp) run on a
+/// given micro-kernel: C += alpha * op(A) * op(B), beta already applied.
+/// tensor::gemm passes active_micro_kernel(); tests pass a specific kernel.
+void gemm_packed(const MicroKernel& mk, bool trans_a, bool trans_b,
+                 std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 const float* a, const float* b, float* c);
+
 }  // namespace dlion::tensor::detail

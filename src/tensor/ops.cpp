@@ -10,7 +10,6 @@
 #include "common/scratch.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm_kernel.h"
-#include "tensor/gemm_ref.h"
 
 namespace dlion::tensor {
 
@@ -41,14 +40,8 @@ constexpr std::size_t kKC = 256;
 constexpr std::size_t kMC = 120;
 constexpr std::size_t kNC = 256;
 
-// Below this many multiply-adds the packing overhead is not worth it; the
-// naive reference kernels run serially instead. The cutoff depends only on
-// the problem shape, never on the thread count, so it cannot break
-// determinism.
-constexpr std::size_t kPackedMulAddThreshold = 1u << 19;  // 512K mul-adds
-
 // Above this many FLOPs the packed driver fans out row blocks over the
-// global thread pool (kept from the pre-blocking kernels).
+// global thread pool; below it every GEMM runs serially on the caller.
 constexpr double kParallelFlopThreshold = 8e6;
 
 std::atomic<bool> g_gemm_parallel{true};
@@ -123,11 +116,12 @@ void pack_b(const float* b, bool trans_b, std::size_t k, std::size_t n,
   }
 }
 
-// Packed driver. beta has already been applied to C by gemm().
-void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                 std::size_t k, float alpha, const float* a, const float* b,
-                 float* c) {
-  const detail::MicroKernel& mk = detail::active_micro_kernel();
+}  // namespace
+
+namespace detail {
+void gemm_packed(const MicroKernel& mk, bool trans_a, bool trans_b,
+                 std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 const float* a, const float* b, float* c) {
   const std::size_t mr_tile = mk.mr;
   const std::size_t nr_tile = mk.nr;
   // Blocking geometry contract: the MC/NC blocks must be whole multiples of
@@ -190,7 +184,7 @@ void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     }
   }
 }
-}  // namespace
+}  // namespace detail
 
 bool set_gemm_parallel(bool enabled) {
   return g_gemm_parallel.exchange(enabled, std::memory_order_relaxed);
@@ -208,14 +202,8 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     scale(beta, std::span<float>(c, m * n));
   }
   if (k == 0 || alpha == 0.0f) return;
-
-  if (m * n * k < kPackedMulAddThreshold) {
-    // Small problems: packing overhead dominates, use the naive kernels
-    // (beta already applied above).
-    reference_gemm(trans_a, trans_b, m, n, k, alpha, a, b, 1.0f, c);
-    return;
-  }
-  gemm_packed(trans_a, trans_b, m, n, k, alpha, a, b, c);
+  detail::gemm_packed(detail::active_micro_kernel(), trans_a, trans_b, m, n,
+                      k, alpha, a, b, c);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -3,9 +3,10 @@
 //
 // GEMM is a cache-blocked, panel-packed implementation driving a
 // register-tiled micro-kernel (see DESIGN.md "Numeric kernels" for the
-// blocking scheme and the determinism policy). All four transpose variants
-// share the packed path, which parallelizes over row blocks on the global
-// thread pool while staying bit-deterministic at any thread count.
+// blocking scheme and the determinism policy). Every call, whatever its
+// size or transpose variant, takes the packed path, which parallelizes
+// large problems over row blocks on the global thread pool while staying
+// bit-deterministic at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,8 @@ namespace dlion::tensor {
 /// Deterministic: for a fixed host and build, the result is bit-identical
 /// across runs and thread counts (fixed k-blocking order, one writer per C
 /// element). Bit-compatibility with the pre-blocking kernels or across
-/// hosts with different vector ISAs is NOT promised; see reference_gemm in
-/// gemm_ref.h for the conformance oracle.
+/// hosts with different vector ISAs is NOT promised; the naive conformance
+/// oracle is reference_gemm in oracle/gemm_ref.h, outside the library.
 void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
           std::size_t k, float alpha, const float* a, const float* b,
           float beta, float* c);

@@ -4,9 +4,10 @@
 // (DLion and Hop), and serving with online refresh. Each run is digested
 // with FNV-1a over its total iterations, total network bytes, every
 // worker's final weights and the cluster-mean accuracy curve, and the
-// digest must equal the committed constant at thread-pool sizes 1 and 4.
-// The constants are the behaviour of the membership code before it was
-// consolidated; any refactor of "who is in" must leave them untouched.
+// digest must equal the committed constant for the active GEMM
+// micro-kernel at thread-pool sizes 1 and 4. The constants are the
+// behaviour of the membership code before it was consolidated; any
+// refactor of "who is in" must leave them untouched.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -18,6 +19,7 @@
 #include "data/synthetic.h"
 #include "exp/environments.h"
 #include "systems/registry.h"
+#include "tensor/ops.h"
 
 namespace dlion::core {
 namespace {
@@ -93,8 +95,23 @@ std::uint64_t run_digest(const ClusterSpec& spec) {
   return h;
 }
 
-/// The digest must be the pinned constant at pool sizes 1 and 4.
-void expect_pinned(const ClusterSpec& spec, std::uint64_t pinned) {
+/// One digest per GEMM micro-kernel (tensor::gemm_kernel_name()). The AVX2
+/// tile fuses each multiply-add, so its trained weights differ from the
+/// portable tile's in the last bits. The portable digests date from when
+/// small GEMMs ran the naive loops, which the portable tile reproduces bit
+/// for bit on these shapes.
+struct KernelDigests {
+  std::uint64_t portable;
+  std::uint64_t avx2;
+};
+
+/// The active kernel's digest must be the pinned constant at pool sizes 1
+/// and 4.
+void expect_pinned(const ClusterSpec& spec, KernelDigests digests) {
+  const std::uint64_t pinned =
+      std::strcmp(tensor::gemm_kernel_name(), "avx2-6x16") == 0
+          ? digests.avx2
+          : digests.portable;
   for (const std::size_t threads : {1u, 4u}) {
     common::ThreadPool::reset_global_for_testing(threads);
     const std::uint64_t got = run_digest(spec);
@@ -105,27 +122,37 @@ void expect_pinned(const ClusterSpec& spec, std::uint64_t pinned) {
 }
 
 TEST(MembershipPin, PlainDlion) {
-  expect_pinned(pin_spec("dlion", 4, 60.0), 0x52040c93884ec603ULL);
+  expect_pinned(pin_spec("dlion", 4, 60.0),
+                {.portable = 0x52040c93884ec603ULL,
+                 .avx2 = 0x64a9c3330b13555bULL});
 }
 
 TEST(MembershipPin, FaultTolerantCrashWindow) {
   ClusterSpec spec = pin_spec("dlion", 4, 80.0);
   spec.faults.crash(2, 20.0, 45.0);  // suspected from ~26 s to recovery
-  expect_pinned(spec, 0x3360c8fc367cd830ULL);
+  expect_pinned(spec,
+                {.portable = 0x3360c8fc367cd830ULL,
+                 .avx2 = 0x464fa66f71a5957fULL});
 }
 
 TEST(MembershipPin, NoopElastic) {
   ClusterSpec spec = pin_spec("dlion", 4, 60.0);
   spec.elastic = ElasticSpec{};
-  expect_pinned(spec, 0x38ff4bc4969b6e73ULL);
+  expect_pinned(spec,
+                {.portable = 0x38ff4bc4969b6e73ULL,
+                 .avx2 = 0x429fbb8db294df4bULL});
 }
 
 TEST(MembershipPin, ScriptedChurnDlion) {
-  expect_pinned(churn_spec("dlion"), 0x05229f5904fca6abULL);
+  expect_pinned(churn_spec("dlion"),
+                {.portable = 0x05229f5904fca6abULL,
+                 .avx2 = 0xd19738ef5d5f6854ULL});
 }
 
 TEST(MembershipPin, ScriptedChurnHop) {
-  expect_pinned(churn_spec("hop"), 0xde64b71b48060f5eULL);
+  expect_pinned(churn_spec("hop"),
+                {.portable = 0xde64b71b48060f5eULL,
+                 .avx2 = 0x40496cc10652c511ULL});
 }
 
 TEST(MembershipPin, ServingWithPublishing) {
@@ -135,7 +162,9 @@ TEST(MembershipPin, ServingWithPublishing) {
   serving.arrival.rate_rps = 100.0;
   serving.publish_period_s = 15.0;
   spec.serving = serving;
-  expect_pinned(spec, 0xdf87a2a180b0d1caULL);
+  expect_pinned(spec,
+                {.portable = 0xdf87a2a180b0d1caULL,
+                 .avx2 = 0x72239d1d1812dbf0ULL});
 }
 
 }  // namespace

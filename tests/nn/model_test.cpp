@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
 
@@ -119,6 +122,38 @@ TEST_P(ModelZooTest, BuildsAndRunsForward) {
   ASSERT_EQ(logits.shape().rank(), 2u);
   EXPECT_EQ(logits.shape()[0], 2u);
   EXPECT_EQ(logits.shape()[1], bm.profile.classes);
+}
+
+TEST_P(ModelZooTest, GradientsMatchFullBackprop) {
+  // compute_gradients stops at the first trainable layer and never forms
+  // dL/d(input); the variable gradients must equal a backward pass through
+  // every layer bit for bit.
+  common::Rng rng(2);
+  BuiltModel bm = make_model(GetParam(), rng);
+  tensor::Tensor x(tensor::Shape{3, bm.profile.channels, bm.profile.height,
+                                 bm.profile.width});
+  for (float& v : x.span()) v = static_cast<float>(rng.normal());
+  std::vector<std::int32_t> labels(3);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i % bm.profile.classes);
+  }
+  (void)bm.model.compute_gradients(x, labels);
+  const Snapshot skipped = bm.model.gradients();
+
+  bm.model.zero_grads();
+  tensor::Tensor grad =
+      softmax_cross_entropy(bm.model.forward(x, /*train=*/true), labels)
+          .grad_logits;
+  for (std::size_t i = bm.model.num_layers(); i-- > 0;) {
+    grad = bm.model.layer(i).backward(grad);
+  }
+  const Snapshot full = bm.model.gradients();
+  ASSERT_EQ(skipped.values.size(), full.values.size());
+  for (std::size_t v = 0; v < full.values.size(); ++v) {
+    ASSERT_EQ(0, std::memcmp(skipped.values[v].data(), full.values[v].data(),
+                             full.values[v].size() * sizeof(float)))
+        << "variable " << v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelZooTest,

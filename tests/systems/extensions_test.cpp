@@ -60,8 +60,11 @@ TEST(Dgc, ResidualCarriesUnsentMass) {
   DgcStrategy s(0.01);
   // After k iterations of constant gradient 1, the entries that finally get
   // sent carry the accumulated value k (error feedback: nothing is lost).
-  (void)s.generate(bm.model, ctx_for(0, 1, 0));
-  (void)s.generate(bm.model, ctx_for(0, 1, 1));
+  for (std::uint64_t it = 0; it < 2; ++it) {
+    s.begin_iteration(bm.model, it);
+    (void)s.generate(bm.model, ctx_for(0, 1, it));
+  }
+  s.begin_iteration(bm.model, 2);
   const auto out = s.generate(bm.model, ctx_for(0, 1, 2));
   bool found = false;
   for (const auto& vg : out) {
@@ -73,6 +76,22 @@ TEST(Dgc, ResidualCarriesUnsentMass) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Dgc, RestagesAfterBeginIterationAtRepeatedIteration) {
+  // A recovering worker rewinds to its checkpoint and repeats iteration
+  // numbers it already sent; the residual must take the fresh gradient.
+  nn::BuiltModel bm = model_with_gradients(8, 1.0f);
+  DgcStrategy s(1.0);
+  s.begin_iteration(bm.model, 7);
+  (void)s.generate(bm.model, ctx_for(0, 1, 7));
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(2.0f);
+  s.begin_iteration(bm.model, 7);
+  const auto out = s.generate(bm.model, ctx_for(0, 1, 7));
+  ASSERT_EQ(total_entries(out), bm.model.num_params());
+  for (const auto& vg : out) {
+    for (float g : vg.values) EXPECT_EQ(g, 2.0f);
+  }
 }
 
 TEST(Dgc, InvalidDensityThrows) {
@@ -103,6 +122,7 @@ TEST(Prague, GroupChangesAcrossIterations) {
   PragueStrategy s(2, 11);
   std::set<std::vector<std::size_t>> groups;
   for (std::uint64_t it = 0; it < 20; ++it) {
+    s.begin_iteration(bm.model, it);
     (void)s.generate(bm.model, ctx_for(0, 1, it, 6));
     groups.insert(s.current_group());
   }
@@ -113,6 +133,7 @@ TEST(Prague, GroupNeverContainsSelf) {
   nn::BuiltModel bm = model_with_gradients(6, 1.0f);
   PragueStrategy s(3, 13);
   for (std::uint64_t it = 0; it < 10; ++it) {
+    s.begin_iteration(bm.model, it);
     (void)s.generate(bm.model, ctx_for(2, 0, it, 6));
     for (std::size_t member : s.current_group()) {
       EXPECT_NE(member, 2u);
@@ -132,11 +153,32 @@ TEST(Prague, RestagesAfterBeginIterationAtRepeatedIteration) {
   (void)s.generate(bm.model, ctx_for(0, peer, 7, 6));
   for (nn::Variable* v : bm.model.variables()) v->grad().fill(2.0f);
   s.begin_iteration(bm.model, 7);
-  const auto out = s.generate(bm.model, ctx_for(0, peer, 7, 6));
+  (void)s.generate(bm.model, ctx_for(0, 1, 7, 6));  // draws a fresh group
+  const std::size_t new_peer = s.current_group().front();
+  const auto out = s.generate(bm.model, ctx_for(0, new_peer, 7, 6));
   ASSERT_EQ(total_entries(out), bm.model.num_params());
   for (const auto& vg : out) {
     for (float g : vg.values) EXPECT_EQ(g, 2.0f);
   }
+}
+
+TEST(Prague, RedrawsGroupAfterBeginIterationAtRepeatedIteration) {
+  // The group sequence depends on how many iterations began, not on their
+  // numbers: repeating iteration 7 draws the group a twin draws for 8.
+  nn::BuiltModel bm = model_with_gradients(9, 1.0f);
+  PragueStrategy repeated(2, 19), twin(2, 19);
+  for (const std::uint64_t it : {7u, 7u, 7u}) {
+    repeated.begin_iteration(bm.model, it);
+    (void)repeated.generate(bm.model, ctx_for(0, 1, it, 8));
+  }
+  std::set<std::vector<std::size_t>> twin_groups;
+  for (const std::uint64_t it : {7u, 8u, 9u}) {
+    twin.begin_iteration(bm.model, it);
+    (void)twin.generate(bm.model, ctx_for(0, 1, it, 8));
+    twin_groups.insert(twin.current_group());
+  }
+  ASSERT_GT(twin_groups.size(), 1u);  // the draws are not all alike
+  EXPECT_EQ(repeated.current_group(), twin.current_group());
 }
 
 TEST(Prague, InvalidGroupSizeThrows) {

@@ -103,6 +103,7 @@ TEST(Gaia, AccumulationEventuallySends) {
   GaiaStrategy s(1.0);
   std::size_t sent_total = 0;
   for (std::uint64_t it = 0; it < 2000 && sent_total == 0; ++it) {
+    s.begin_iteration(bm.model, it);
     sent_total += total_entries(s.generate(bm.model, ctx_for(1, it)));
   }
   EXPECT_GT(sent_total, 0u);
@@ -118,6 +119,7 @@ TEST(Gaia, SentMassMatchesAccumulatedGradients) {
   std::vector<comm::VariableGrad> out;
   std::uint64_t iters = 0;
   for (std::uint64_t it = 0; it < 100; ++it) {
+    s.begin_iteration(bm.model, it);
     out = s.generate(bm.model, ctx_for(1, it));
     ++iters;
     if (total_entries(out) > 0) break;
@@ -140,12 +142,30 @@ TEST(Gaia, PerPeerStateIsIndependent) {
   EXPECT_EQ(total_entries(to_peer1), total_entries(to_peer2));
 }
 
+TEST(Gaia, RestagesAfterBeginIterationAtRepeatedIteration) {
+  // A recovering worker rewinds to its checkpoint and repeats iteration
+  // numbers it already sent; the accumulator must take the fresh gradient.
+  nn::BuiltModel bm = model_with_gradients(11, 0.0f);
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(100.0f);
+  GaiaStrategy s(1.0);
+  s.begin_iteration(bm.model, 7);
+  (void)s.generate(bm.model, ctx_for(1, 7));
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(200.0f);
+  s.begin_iteration(bm.model, 7);
+  const auto out = s.generate(bm.model, ctx_for(1, 7));
+  ASSERT_EQ(total_entries(out), bm.model.num_params());
+  for (const auto& vg : out) {
+    for (float g : vg.values) EXPECT_EQ(g, 200.0f);
+  }
+}
+
 TEST(Ako, RoundRobinCoversAllIndices) {
   nn::BuiltModel bm = model_with_gradients(7);
   AkoStrategy s(/*partitions=*/4);
   std::map<std::uint32_t, std::set<std::uint32_t>> seen;  // var -> indices
   for (std::uint64_t it = 0; it < 4; ++it) {
     for (nn::Variable* v : bm.model.variables()) v->grad().fill(1.0f);
+    s.begin_iteration(bm.model, it);
     const auto out = s.generate(bm.model, ctx_for(1, it));
     for (const auto& vg : out) {
       for (std::uint32_t i : vg.indices) seen[vg.var_index].insert(i);
@@ -162,10 +182,12 @@ TEST(Ako, BlocksAreDisjointAcrossIterationsOfOneCycle) {
   nn::BuiltModel bm = model_with_gradients(8);
   AkoStrategy s(4);
   std::set<std::uint32_t> first, second;
+  s.begin_iteration(bm.model, 0);
   const auto out0 = s.generate(bm.model, ctx_for(1, 0));
   for (const auto& vg : out0) {
     if (vg.var_index == 0) first.insert(vg.indices.begin(), vg.indices.end());
   }
+  s.begin_iteration(bm.model, 1);
   const auto out1 = s.generate(bm.model, ctx_for(1, 1));
   for (const auto& vg : out1) {
     if (vg.var_index == 0) second.insert(vg.indices.begin(),
@@ -180,8 +202,10 @@ TEST(Ako, AccumulatedHistoryIsCarried) {
   // Iteration 0 sends block 0 with one iteration of gradient; iteration 1
   // sends block 1 carrying TWO iterations of accumulated gradient.
   for (nn::Variable* v : bm.model.variables()) v->grad().fill(1.0f);
+  s.begin_iteration(bm.model, 0);
   (void)s.generate(bm.model, ctx_for(1, 0));
   for (nn::Variable* v : bm.model.variables()) v->grad().fill(1.0f);
+  s.begin_iteration(bm.model, 1);
   const auto out = s.generate(bm.model, ctx_for(1, 1));
   bool checked = false;
   for (const auto& vg : out) {
@@ -191,6 +215,23 @@ TEST(Ako, AccumulatedHistoryIsCarried) {
     }
   }
   EXPECT_TRUE(checked);
+}
+
+TEST(Ako, RestagesAfterBeginIterationAtRepeatedIteration) {
+  // A recovering worker rewinds to its checkpoint and repeats iteration
+  // numbers it already sent; the accumulator must take the fresh gradient.
+  nn::BuiltModel bm = model_with_gradients(12, 0.0f);
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(1.0f);
+  AkoStrategy s(/*partitions=*/1);
+  s.begin_iteration(bm.model, 7);
+  (void)s.generate(bm.model, ctx_for(1, 7));
+  for (nn::Variable* v : bm.model.variables()) v->grad().fill(2.0f);
+  s.begin_iteration(bm.model, 7);
+  const auto out = s.generate(bm.model, ctx_for(1, 7));
+  ASSERT_EQ(total_entries(out), bm.model.num_params());
+  for (const auto& vg : out) {
+    for (float g : vg.values) EXPECT_EQ(g, 2.0f);
+  }
 }
 
 TEST(Ako, AutoPartitionCountDerivedFromLink) {

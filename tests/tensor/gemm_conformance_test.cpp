@@ -1,9 +1,10 @@
 // Conformance and determinism suite for the cache-blocked packed GEMM.
 //
-// The packed kernel is validated against the kept naive reference
-// (tensor::reference_gemm) across all four transpose variants, odd shapes
-// that exercise every edge-tile path of the blocking (m/n/k of 1, 3,
-// tile +/- 1, and above the MC/KC/NC blocking), and alpha/beta edge cases.
+// The packed kernel is validated against the naive oracle
+// (tensor::reference_gemm, oracle/gemm_ref.h) across all four transpose
+// variants, odd shapes that exercise every edge-tile path of the blocking
+// (m/n/k of 1, 3, tile +/- 1, and above the MC/KC/NC blocking), the
+// training workloads' own layer shapes, and alpha/beta edge cases.
 // The determinism tests assert the contract documented in ops.h: results
 // are bit-identical with the thread-pool fan-out on or off, and across
 // thread-pool sizes.
@@ -17,7 +18,8 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "tensor/gemm_ref.h"
+#include "gemm_ref.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 
 namespace dlion::tensor {
@@ -75,12 +77,62 @@ TEST_P(GemmConformance, OddShapesMatchReference) {
 
 TEST_P(GemmConformance, BlockingBoundariesMatchReference) {
   const auto [ta, tb] = GetParam();
-  // Shapes straddling the MC/KC/NC cache blocking and forcing the packed
-  // path past the small-problem cutoff.
+  // Shapes straddling the MC/KC/NC cache blocking.
   expect_conformance(ta, tb, 119, 64, 257, 1.0f, 0.0f, 11);
   expect_conformance(ta, tb, 121, 257, 64, 1.0f, 1.0f, 12);
   expect_conformance(ta, tb, 127, 255, 129, 1.0f, 0.0f, 13);
 }
+
+TEST_P(GemmConformance, WorkloadShapesMatchReference) {
+  const auto [ta, tb] = GetParam();
+  // cipher-lite's output layer at batch rows 1, 14 and 27: n = 10 leaves a
+  // partial NR strip under both micro-kernels.
+  for (std::size_t m : {1, 14, 27}) {
+    expect_conformance(ta, tb, m, 10, 48, 1.0f, 0.0f, 200 + m);
+  }
+  // The 64 -> 64 -> 48 layers: forward (batch x out x in), dW (in x out x
+  // batch) and dx (batch x in x out), at a training and the eval batch.
+  const std::size_t layers[][2] = {{64, 64}, {64, 48}, {48, 10}};
+  for (std::size_t batch : {14, 219, 512}) {
+    for (const auto& [in, out] : layers) {
+      expect_conformance(ta, tb, batch, out, in, 1.0f, 0.0f, 300 + batch);
+      expect_conformance(ta, tb, in, out, batch, 1.0f, 1.0f, 400 + batch);
+      expect_conformance(ta, tb, batch, in, out, 1.0f, 0.0f, 500 + batch);
+    }
+  }
+}
+
+#if defined(__x86_64__)
+TEST_P(GemmConformance, PortableKernelBitIdenticalToReference) {
+  // With alpha = 1, beta = 0 and k <= KC = 256 the portable 4x8 kernel
+  // forms each C element as ((0 + a0*b0) + a1*b1) + ..., the reference's
+  // sum in the reference's order; baseline x86-64 has no FMA to contract
+  // the products. That is why results pinned before tensor::gemm ran
+  // small problems on the packed kernel still hold under
+  // DLION_GEMM_KERNEL=portable. (The AVX2 kernel fuses each multiply-add,
+  // so it agrees only to rounding.)
+  const auto [ta, tb] = GetParam();
+  const std::size_t dims[] = {1, 5, 10, 14, 17, 27, 48, 64, 121, 219};
+  for (std::size_t m : dims) {
+    for (std::size_t n : dims) {
+      for (std::size_t k : {1, 3, 48, 64, 219, 256}) {
+        common::Rng rng(m * 7919 + n * 31 + k);
+        const auto a = random_vec(m * k, rng);
+        const auto b = random_vec(k * n, rng);
+        std::vector<float> c_packed(m * n, 0.0f), c_ref(m * n);
+        detail::gemm_packed(detail::portable_micro_kernel(), ta, tb, m, n, k,
+                            1.0f, a.data(), b.data(), c_packed.data());
+        reference_gemm(ta, tb, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
+                       c_ref.data());
+        ASSERT_EQ(0, std::memcmp(c_packed.data(), c_ref.data(),
+                                 c_ref.size() * sizeof(float)))
+            << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n
+            << " k=" << k;
+      }
+    }
+  }
+}
+#endif
 
 TEST_P(GemmConformance, AlphaBetaEdges) {
   const auto [ta, tb] = GetParam();
@@ -116,7 +168,7 @@ std::vector<float> run_gemm_once(std::size_t m, std::size_t n, std::size_t k,
 }
 
 TEST(GemmDeterminism, SerialAndPooledBitIdentical) {
-  // Large enough to clear both the packed-path and the parallel cutoffs.
+  // Large enough to clear the parallel cutoff.
   const std::size_t m = 320, n = 192, k = 288;
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
