@@ -1,5 +1,6 @@
 // Hot-path benchmark: GEMM throughput, training-step latency/allocations,
-// Max-N selection throughput, and training determinism checksums.
+// Max-N selection throughput, DLion's per-link selection cost, and training
+// determinism checksums.
 //
 // Emits a machine-readable BENCH_hotpath.json (fixed key order; only the
 // timing fields vary run-to-run, the checksum fields are deterministic) so
@@ -26,7 +27,9 @@
 #include "bench_util.h"
 #include "comm/fabric.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/gradient_select.h"
+#include "core/link_prioritizer.h"
 #include "core/weighted_update.h"
 #include "gemm_ref.h"
 #include "nn/model_zoo.h"
@@ -239,6 +242,98 @@ MaxNStats bench_max_n(std::size_t elems, double n) {
           static_cast<double>(elems) / t_cnt / 1e9};
 }
 
+struct PerLinkStats {
+  std::size_t params = 0;
+  std::size_t variables = 0;
+  std::uint64_t entries_per_iter = 0;
+  double ns_per_elem_per_link = 0.0;
+  double us_per_iter = 0.0;
+  /// FNV-1a over every link's selection, from the offset basis.
+  std::uint64_t checksum = fnv1a(nullptr, 0);
+};
+
+/// Keep ratio of each link's budget: the first link starves (the min_n
+/// floor decides), the last takes 40% of the parameters.
+constexpr double kLinkKeep[] = {0.0, 0.02, 0.05, 0.15, 0.4};
+constexpr std::size_t kLinks = std::size(kLinkKeep);
+
+/// DLion's per-link selection (core::LinkPrioritizer) over cipher-lite's
+/// gradients: each iteration is one begin_iteration and one generate per
+/// link, as a worker sending to 5 peers does. Reports the best-of-5 mean
+/// over `iterations` iterations.
+PerLinkStats bench_per_link(int iterations) {
+  dlion::common::Rng rng(11);
+  auto bm = dlion::nn::make_cipher_lite(rng);
+  const std::size_t batch = 16;
+  dlion::tensor::Tensor images(dlion::tensor::Shape{batch, 64});
+  std::vector<std::int32_t> labels(batch);
+  for (auto& x : images.span()) {
+    x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (auto& l : labels) {
+    l = static_cast<std::int32_t>(rng.uniform_int(0, 9));
+  }
+  bm.model.compute_gradients(images, labels);
+
+  PerLinkStats s;
+  s.params = bm.model.num_params();
+  s.variables = bm.model.num_variables();
+  std::vector<dlion::core::LinkContext> links(kLinks);
+  for (std::size_t l = 0; l < kLinks; ++l) {
+    // Invert the prioritizer's budget: entries = 0.9 * Mbps * 1e6 / 64 at
+    // one iteration per second and byte scale 1.
+    links[l].peer = l + 1;
+    links[l].available_mbps =
+        kLinkKeep[l] * static_cast<double>(s.params) * 64.0 / 0.9e6;
+    links[l].n_workers = kLinks + 1;
+  }
+  dlion::core::LinkPrioritizer lp(dlion::core::LinkPrioritizerConfig{});
+  const auto one_iteration = [&](std::uint64_t iter, bool digest) {
+    lp.begin_iteration(bm.model, iter);
+    for (auto& ctx : links) {
+      ctx.iteration = iter;
+      const auto out = lp.generate(bm.model, ctx);
+      if (!digest) continue;
+      for (const auto& vg : out) {
+        s.entries_per_iter += vg.num_entries();
+        s.checksum = fnv1a(vg.indices.data(),
+                           vg.indices.size() * sizeof(std::uint32_t),
+                           s.checksum);
+        s.checksum = fnv1a(vg.values.data(), vg.values.size() * sizeof(float),
+                           s.checksum);
+      }
+    }
+  };
+  one_iteration(0, true);  // warm-up, entry count and checksum
+  const double t = time_best(5, [&] {
+    for (int i = 0; i < iterations; ++i) {
+      one_iteration(static_cast<std::uint64_t>(i + 1), false);
+    }
+  });
+  s.us_per_iter = t / iterations * 1e6;
+  s.ns_per_elem_per_link =
+      t / iterations / static_cast<double>(kLinks * s.params) * 1e9;
+  return s;
+}
+
+/// The source revision the binary was built from, "-dirty" when the
+/// checkout had uncommitted changes; "unknown" outside a git checkout.
+std::string git_revision() {
+  const std::string cmd =
+      std::string("git -C \"") + DLION_SOURCE_DIR +
+      "\" describe --always --dirty --abbrev=40 2>/dev/null";
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return "unknown";
+  char buf[128] = {};
+  const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
+  const int status = pclose(p);
+  std::string rev = got && status == 0 ? buf : "";
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
 struct CommStats {
   double msgs_per_sec = 0.0;
   std::uint64_t allocs_per_msg_total = 0;      ///< incl. simulator transport
@@ -399,6 +494,10 @@ int main(int argc, char** argv) {
   // --- Max-N selection throughput. ---------------------------------------
   const MaxNStats maxn = bench_max_n(1'000'000, 1.0);
 
+  // --- DLion per-link selection. -----------------------------------------
+  constexpr int kPerLinkIters = 200;
+  const PerLinkStats per_link = bench_per_link(kPerLinkIters);
+
   // --- Comm data plane: gradient exchange over the fabric. ---------------
   const CommStats comm = bench_comm(100);
 
@@ -417,6 +516,11 @@ int main(int argc, char** argv) {
        "\",\n";
   j += "  \"dlion_threads_env\": \"" +
        std::string(threads_env != nullptr ? threads_env : "") + "\",\n";
+  j += "  \"threads\": " +
+       std::to_string(dlion::common::ThreadPool::global().worker_count() + 1) +
+       ",\n";
+  j += "  \"build_type\": \"" + std::string(DLION_BUILD_TYPE) + "\",\n";
+  j += "  \"git_sha\": \"" + git_revision() + "\",\n";
   j += "  \"gemm_single_thread\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -457,6 +561,19 @@ int main(int argc, char** argv) {
        std::to_string(maxn.selected) + ",\n";
   j += "    \"select_gelems_per_s\": " + fmt(maxn.select_gelems) + ",\n";
   j += "    \"count_gelems_per_s\": " + fmt(maxn.count_gelems) + "\n";
+  j += "  },\n";
+  j += "  \"per_link_selection\": {\n";
+  j += "    \"model\": \"cipher-lite\", \"variables\": " +
+       std::to_string(per_link.variables) +
+       ", \"params\": " + std::to_string(per_link.params) +
+       ", \"links_per_iter\": " + std::to_string(kLinks) +
+       ", \"iterations\": " + std::to_string(kPerLinkIters) + ",\n";
+  j += "    \"entries_per_iter\": " +
+       std::to_string(per_link.entries_per_iter) + ",\n";
+  j += "    \"ns_per_elem_per_link\": " + fmt(per_link.ns_per_elem_per_link) +
+       ",\n";
+  j += "    \"us_per_iter\": " + fmt(per_link.us_per_iter) + ",\n";
+  j += "    \"selection_checksum\": \"" + hex64(per_link.checksum) + "\"\n";
   j += "  },\n";
   j += "  \"comm\": {\n";
   j += "    \"slots\": 4, \"peers\": 3, \"exchanges\": 100,\n";
@@ -509,6 +626,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(step.bytes_per_step),
               kPrePrStepMs,
               static_cast<unsigned long long>(kPrePrStepAllocs));
+  std::printf("[hotpath] per-link selection: %.2f ns/elem/link, %.1f us/iter\n",
+              per_link.ns_per_elem_per_link, per_link.us_per_iter);
   std::printf("[hotpath] comm: %.0f msgs/s, %llu payload copies/msg (%llu "
               "bytes), %llu allocs/exchange\n",
               comm.msgs_per_sec,

@@ -1,10 +1,14 @@
 #include "core/gradient_select.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "common/check.h"
 #include "tensor/ops.h"
 
 namespace dlion::core {
@@ -23,7 +27,7 @@ void check_n(double n) {
 struct SelectWorkspace {
   std::vector<std::uint32_t> idx;
   std::vector<float> vals;
-  std::vector<float> mags;
+  MagnitudeBuckets buckets;
 
   static SelectWorkspace& tls() {
     thread_local SelectWorkspace ws;
@@ -158,31 +162,132 @@ std::size_t count_max_n(std::span<const float> grad, double n) {
   return count;
 }
 
-float magnitudes(std::span<const float> grad, std::vector<float>& mags) {
-  mags.resize(grad.size());
-  const float* __restrict src = grad.data();
-  float* __restrict dst = mags.data();
-  float mx = 0.0f;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    const float m = std::fabs(src[i]);
-    dst[i] = m;
-    mx = m > mx ? m : mx;
+namespace {
+constexpr unsigned kBucketShift = 20;
+constexpr std::size_t kBuckets = std::size_t{1} << (31 - kBucketShift);
+constexpr std::uint32_t kInfKey = 0x7f800000u;  ///< bits of +inf
+constexpr std::uint32_t kMagnitudeBits = 0x7fffffffu;  ///< all but the sign
+}  // namespace
+
+void MagnitudeBuckets::build(std::span<const float> grad) {
+  const std::size_t size = grad.size();
+  keys_.resize(size);
+  grouped_.resize(size);
+  ids_.clear();
+  ends_.clear();
+  // Per-thread histogram, all zero between builds. A per-object one would
+  // cost every variable of every worker 8 KiB; an array in static TLS would
+  // grow every thread's TLS block, and measurably slowed runs that never
+  // select. This one is allocated by the first build() on a thread.
+  thread_local std::vector<std::uint32_t> histogram(kBuckets);
+  std::uint32_t* __restrict hist = histogram.data();
+  std::uint32_t* __restrict keys = keys_.data();
+  std::uint32_t top = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::uint32_t key =
+        std::bit_cast<std::uint32_t>(grad[i]) & kMagnitudeBits;
+    keys[i] = key;
+    ++hist[key >> kBucketShift];
+    top = key > top ? key : top;
   }
-  return mx;
+  max_abs_ = std::bit_cast<float>(top);
+  nan_count_ = 0;
+  if (top > kInfKey) {
+    // NaN entries rank first but count for neither max|g| nor Max N.
+    std::uint32_t top_number = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (keys[i] > kInfKey) {
+        ++nan_count_;
+      } else {
+        top_number = std::max(top_number, keys[i]);
+      }
+    }
+    max_abs_ = std::bit_cast<float>(top_number);
+  }
+  // Prefix sum, highest bucket first: each count becomes its bucket's start.
+  // It ends at the lowest occupied bucket.
+  std::uint32_t pos = 0;
+  for (std::size_t b = (top >> kBucketShift) + 1; b-- > 0 && pos < size;) {
+    const std::uint32_t count = hist[b];
+    if (count == 0) continue;
+    hist[b] = pos;
+    pos += count;
+    ids_.push_back(static_cast<std::uint16_t>(b));
+    ends_.push_back(pos);
+  }
+  std::uint32_t* __restrict grouped = grouped_.data();
+  for (std::size_t i = 0; i < size; ++i) {
+    grouped[hist[keys[i] >> kBucketShift]++] = keys[i];
+  }
+  for (const std::uint16_t b : ids_) hist[b] = 0;
 }
 
-std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
-                             double n) {
+std::size_t MagnitudeBuckets::max_n_count(double n) const {
   check_n(n);
-  if (n == 100.0) return mags.size();
-  const double thr = max_n_threshold(n, max_abs);
-  std::size_t count = 0;
-  const float* __restrict p = mags.data();
-  const std::size_t size = mags.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    count += static_cast<double>(p[i]) >= thr ? 1u : 0u;
+  if (n == 100.0) return size();
+  const double thr = max_n_threshold(n, max_abs_);
+  // |g| >= thr iff |g| is at least the smallest float that reaches thr,
+  // i.e. iff its key is at least that float's.
+  float lo = static_cast<float>(thr);
+  if (static_cast<double>(lo) < thr) {
+    lo = std::nextafter(lo, std::numeric_limits<float>::infinity());
   }
-  return count;
+  const auto lo_key = std::bit_cast<std::uint32_t>(lo);
+  const std::uint32_t bucket = lo_key >> kBucketShift;
+  // Every key in an occupied bucket above lo's counts; lo's own bucket, if
+  // occupied, is scanned.
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), bucket,
+                                   std::greater<>());
+  const auto p = static_cast<std::size_t>(it - ids_.begin());
+  std::size_t count = p == 0 ? 0 : ends_[p - 1];
+  if (it != ids_.end() && *it == bucket) {
+    for (std::size_t j = count; j < ends_[p]; ++j) {
+      count += grouped_[j] >= lo_key ? 1u : 0u;
+    }
+  }
+  return count - nan_count_;  // NaN keys exceed every threshold's key
+}
+
+float MagnitudeBuckets::top_k(std::size_t k, std::uint32_t* idx) {
+  DLION_DCHECK(k >= 1 && k < size());
+  // The bucket holding rank k; partitioning it alone places the k-th key.
+  const std::size_t rank = k - 1;
+  const auto p = static_cast<std::size_t>(
+      std::upper_bound(ends_.begin(), ends_.end(), rank) - ends_.begin());
+  const std::size_t first = p == 0 ? 0 : ends_[p - 1];
+  std::uint32_t* bucket = grouped_.data();
+  std::nth_element(bucket + first, bucket + rank, bucket + ends_[p],
+                   std::greater<>());
+  const std::uint32_t kth = bucket[rank];
+  std::size_t above = first;  // entries ranked strictly above the k-th key
+  std::size_t tied = 0;       // entries equal to it
+  for (std::size_t j = first; j < ends_[p]; ++j) {
+    above += bucket[j] > kth ? 1u : 0u;
+    tied += bucket[j] == kth ? 1u : 0u;
+  }
+  // One filter pass in index order, stopping at the k-th hit. When only
+  // part of the tie makes the cut, its first k - above members by index do:
+  // the pass takes keys >= kth until they are in, then keys > kth only. The
+  // `n < k` bounds keep every write inside `idx`.
+  const std::uint32_t* keys = keys_.data();
+  const std::size_t size = keys_.size();
+  std::size_t n = 0;
+  std::size_t i = 0;
+  std::uint32_t lo = kth;
+  if (above + tied > k) {
+    for (std::size_t ties_left = k - above; ties_left > 0 && i < size; ++i) {
+      idx[n] = static_cast<std::uint32_t>(i);
+      n += keys[i] >= kth ? 1u : 0u;
+      ties_left -= keys[i] == kth ? 1u : 0u;
+    }
+    lo = kth + 1;
+  }
+  for (; i < size && n < k; ++i) {
+    idx[n] = static_cast<std::uint32_t>(i);
+    n += keys[i] >= lo ? 1u : 0u;
+  }
+  DLION_DCHECK(n == k, "top-k filter selected a different count");
+  return std::bit_cast<float>(kth);
 }
 
 namespace {
@@ -194,26 +299,11 @@ comm::VariableGrad select_top_k_impl(std::span<const float> grad,
   v.var_index = var_index;
   v.dense_size = static_cast<std::uint32_t>(grad.size());
   if (k == 0) return v;
-  // Partial sort of indices by |g| descending, index ascending on ties.
-  // The comparator reads the precomputed magnitudes: nth_element invokes it
-  // O(n log n) times in the worst case, so hoisting fabs out of it matters.
   SelectWorkspace& ws = SelectWorkspace::tls();
-  magnitudes(grad, ws.mags);
+  ws.buckets.build(grad);
   auto& idx = ws.idx;
-  idx.resize(grad.size());
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    idx[i] = static_cast<std::uint32_t>(i);
-  }
-  const float* m = ws.mags.data();
-  auto cmp = [m](std::uint32_t a, std::uint32_t b) {
-    const float fa = m[a], fb = m[b];
-    if (fa != fb) return fa > fb;
-    return a < b;
-  };
-  std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                   idx.end(), cmp);
   idx.resize(k);
-  std::sort(idx.begin(), idx.end());
+  ws.buckets.top_k(k, idx.data());
   auto& vals = ws.vals;
   vals.resize(k);
   for (std::size_t i = 0; i < k; ++i) vals[i] = grad[idx[i]];

@@ -12,6 +12,7 @@
 // their own value distribution and convergence speed".
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,28 +25,48 @@ namespace dlion::core {
 double max_n_threshold(double n, float max_abs);
 
 // ---------------------------------------------------------------------------
-// Fused magnitude workspace.
+// Magnitude buckets: the one top-k mechanism.
 //
-// A link generation needs several statistics of the same gradient vector
-// (its Max N floor, its top-k set, the equivalent N of that set), and a
-// worker generates one link per peer over the same gradient. LinkPrioritizer
-// therefore computes the link-independent part once per iteration, in the
-// first generate() after begin_iteration(): magnitudes() fills |g| and
-// max|g| in one pass, count_max_n_mags() derives the min_n floor from them,
-// and one index ordering by (|g| descending, index ascending), extended
-// lazily as links ask for ranks not yet in place, serves every link's
-// top-k. Each link then reports its equivalent N from the k-th largest
-// magnitude with equivalent_n_from_threshold(), without another partial
-// sort.
+// A top-k ranks entries by (|g| descending, index ascending). The bit
+// pattern of a non-negative float orders the same way as its value, so |g|
+// is ranked as the integer key `bits(g) & 0x7fffffff` (+-0 share key 0; a
+// NaN ranks above +inf). build() groups the keys by value bucket: one fused
+// pass writes the keys, max|g| and a histogram of `key >> 20` (2,048
+// buckets: the exponent and 3 mantissa bits), a prefix sum runs over the
+// buckets at or below max|g|'s, and one scatter pass groups the keys by
+// bucket, highest first. A top-k then touches a single bucket, the one that
+// holds rank k: nth_element over its few keys yields the k-th magnitude,
+// and one filter pass in index order emits the selection. Built once, the
+// buckets serve any number of k: DLion's link prioritizer builds them once
+// per iteration and every link of that iteration reads them.
 // ---------------------------------------------------------------------------
+class MagnitudeBuckets {
+ public:
+  /// Rank the magnitudes of `grad`, reusing this object's storage.
+  void build(std::span<const float> grad);
 
-/// Fill `mags[i] = |grad[i]|` (resizing as needed) and return max|grad|.
-/// Single fused pass over the gradient.
-float magnitudes(std::span<const float> grad, std::vector<float>& mags);
+  std::size_t size() const { return keys_.size(); }
+  /// max|g| over the non-NaN entries (what tensor::max_abs returns).
+  float max_abs() const { return max_abs_; }
+  /// count_max_n(grad, n) from the buckets, without a rescan.
+  std::size_t max_n_count(double n) const;
+  /// Write the indices of the k top-ranked entries (0 < k < size()) in
+  /// ascending order to `idx`, which has room for k, and return the k-th
+  /// largest magnitude. Of entries tied at that magnitude, the lower indices
+  /// make the cut. Reorders keys within one bucket only, so any number of
+  /// calls may follow one build().
+  float top_k(std::size_t k, std::uint32_t* idx);
 
-/// count_max_n on precomputed magnitudes (no rescan of the gradient).
-std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
-                             double n);
+ private:
+  std::vector<std::uint32_t> keys_;     ///< |g| keys in index order
+  std::vector<std::uint32_t> grouped_;  ///< the keys grouped by bucket
+  /// Occupied buckets, highest first: bucket ids_[b] holds the keys at
+  /// grouped_[ends_[b - 1], ends_[b]), i.e. those ranks.
+  std::vector<std::uint16_t> ids_;
+  std::vector<std::uint32_t> ends_;
+  float max_abs_ = 0.0f;
+  std::size_t nan_count_ = 0;
+};
 
 /// The N whose Max N threshold equals `kth_mag` (the k-th largest
 /// magnitude of a top-k selection) for a vector whose max-abs is `max_abs`:

@@ -2,82 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <span>
 
 #include "common/check.h"
 #include "core/gradient_select.h"
 #include "tensor/ops.h"
 
 namespace dlion::core {
-
-namespace {
-
-/// Index of the k-th ranked entry (1 <= k < size) of a permutation
-/// partially ordered as described at LinkPrioritizer::VarOrder. Unless an
-/// earlier link already placed it, partitions the segment between its
-/// neighbouring pivots to put it in place.
-std::uint32_t kth_index(std::span<const float> mags,
-                        std::vector<std::uint32_t>& order,
-                        std::vector<std::size_t>& pivots, std::size_t k) {
-  DLION_DCHECK(k >= 1 && k < order.size());
-  const std::size_t pos = k - 1;
-  const auto next = std::lower_bound(pivots.begin(), pivots.end(), pos);
-  if (next == pivots.end() || *next != pos) {
-    // The segment between the neighbouring pivots holds exactly the ranks
-    // in between, so partitioning it alone places rank `pos`. The rank
-    // order is strict and total: the ranking, and with it every link's
-    // top-k set, is unique.
-    const float* m = mags.data();
-    auto ranks_before = [m](std::uint32_t a, std::uint32_t b) {
-      return m[a] != m[b] ? m[a] > m[b] : a < b;
-    };
-    const std::size_t lo = next == pivots.begin() ? 0 : *(next - 1) + 1;
-    const std::size_t hi = next == pivots.end() ? order.size() : *next;
-    const auto at = [&order](std::size_t p) {
-      return order.begin() + static_cast<std::ptrdiff_t>(p);
-    };
-    std::nth_element(at(lo), at(pos), at(hi), ranks_before);
-    pivots.insert(next, pos);
-  }
-  return order[pos];
-}
-
-/// The top-k entries of `grad` in index order, written to `writer`; `t` is
-/// the index of the k-th ranked entry.
-comm::VariableGrad emit_top_k(std::span<const float> grad,
-                              std::span<const float> mags, std::uint32_t t,
-                              std::uint32_t var_index, std::size_t k,
-                              comm::PayloadWriter& writer) {
-  comm::VariableGrad vg;
-  vg.var_index = var_index;
-  vg.dense_size = static_cast<std::uint32_t>(grad.size());
-  // Entry i ranks at or above t iff m[i] > m[t], or m[i] == m[t] and
-  // i <= t: one filter pass in index order, which stops at the k-th hit.
-  // The `n < k` bound keeps every write inside the staged region even if
-  // the ordering were inconsistent (NaN gradients).
-  const float* m = mags.data();
-  const float mt = m[t];
-  const auto size = static_cast<std::uint32_t>(grad.size());
-  std::uint32_t* idx = writer.stage<std::uint32_t>(k);
-  std::size_t n = 0;
-  for (std::uint32_t i = 0; i <= t && n < k; ++i) {
-    idx[n] = i;
-    n += m[i] >= mt ? 1u : 0u;
-  }
-  for (std::uint32_t i = t + 1; i < size && n < k; ++i) {
-    idx[n] = i;
-    n += m[i] > mt ? 1u : 0u;
-  }
-  DLION_DCHECK(n == k, "top-k filter selected a different count");
-  vg.indices = writer.commit(idx, n);
-  float* vals = writer.stage<float>(n);
-  for (std::size_t j = 0; j < n; ++j) vals[j] = grad[idx[j]];
-  vg.values = writer.commit(vals, n);
-  return vg;
-}
-
-}  // namespace
 
 LinkPrioritizer::LinkPrioritizer(LinkPrioritizerConfig config)
     : config_(config) {}
@@ -110,12 +40,10 @@ void LinkPrioritizer::rebuild(const nn::Model& model, const LinkContext& ctx) {
     return;
   }
   for (std::size_t v = 0; v < vars.size(); ++v) {
-    VarOrder& var = vars_[v];
-    var.max_abs = magnitudes(vars[v]->grad().span(), var.mags);
-    var.k_floor = count_max_n_mags(var.mags, var.max_abs, config_.min_n);
-    var.order.resize(var.mags.size());
-    std::iota(var.order.begin(), var.order.end(), 0u);
-    var.pivots.clear();
+    VarState& var = vars_[v];
+    var.buckets.build(vars[v]->grad().span());
+    var.max_abs = var.buckets.max_abs();
+    var.k_floor = var.buckets.max_n_count(config_.min_n);
   }
 }
 
@@ -157,7 +85,7 @@ std::vector<comm::VariableGrad> LinkPrioritizer::generate(
   std::size_t total_entries = 0;
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const auto grad = vars[v]->grad().span();
-    VarOrder& var = vars_[v];
+    VarState& var = vars_[v];
     // The budget is split across weight variables proportionally to size;
     // Max N is applied per variable (§3.3).
     const double share = total_params == 0
@@ -176,9 +104,17 @@ std::vector<comm::VariableGrad> LinkPrioritizer::generate(
       // The equivalent N of a top-k selection is the Max N whose threshold
       // is its k-th largest magnitude. k < size implies max|g| > 0: with
       // max|g| == 0 the floor alone selects every entry.
-      const std::uint32_t t = kth_index(var.mags, var.order, var.pivots, k);
-      out.push_back(emit_top_k(grad, var.mags, t, var_index, k, writer));
-      eq_n = equivalent_n_from_threshold(var.max_abs, var.mags[t]);
+      comm::VariableGrad vg;
+      vg.var_index = var_index;
+      vg.dense_size = static_cast<std::uint32_t>(grad.size());
+      std::uint32_t* idx = writer.stage<std::uint32_t>(k);
+      const float kth_mag = var.buckets.top_k(k, idx);
+      vg.indices = writer.commit(idx, k);
+      float* vals = writer.stage<float>(k);
+      for (std::size_t j = 0; j < k; ++j) vals[j] = grad[idx[j]];
+      vg.values = writer.commit(vals, k);
+      out.push_back(std::move(vg));
+      eq_n = equivalent_n_from_threshold(var.max_abs, kth_mag);
     }
     weighted_n += eq_n * static_cast<double>(grad.size());
     total_entries += out.back().num_entries();

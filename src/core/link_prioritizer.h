@@ -13,16 +13,20 @@
 //
 // Every link of an iteration ranks the same gradient, so everything that
 // does not depend on the link is computed once per iteration: per variable
-// the magnitudes, max|g|, the min_n floor count and one index ordering by
-// (|g| descending, index ascending) that links extend lazily and share. A
-// link then only picks its k, reads the k-th element of the ordering and
-// emits the entries that rank above it. In fixed-N mode the whole Max N
-// selection is staged once per iteration and every link shares its views.
+// max|g|, the min_n floor count and the magnitudes grouped into value
+// buckets (MagnitudeBuckets, gradient_select.h). A link then picks its k,
+// partitions only the one bucket that holds rank k to find the k-th largest
+// magnitude, and emits in index order every entry above it plus, when
+// entries tie at that magnitude, the lowest-indexed of the tied ones: the
+// (|g| descending, index ascending) rank rule of a plain top-k. In fixed-N
+// mode the whole Max N selection is staged once per iteration and every
+// link shares its views.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/gradient_select.h"
 #include "core/strategy.h"
 
 namespace dlion::core {
@@ -58,17 +62,11 @@ class LinkPrioritizer : public PartialGradientStrategy {
 
  private:
   /// Link-independent selection state of one weight variable.
-  struct VarOrder {
-    std::vector<float> mags;  ///< |g|
+  struct VarState {
+    MagnitudeBuckets buckets;
     float max_abs = 0.0f;
     /// Entries Max N selects at min_n: the quality floor of every link.
     std::size_t k_floor = 0;
-    /// Index permutation, partially ordered by rank (|g| descending, index
-    /// ascending). Each position p in `pivots` (ascending) holds the entry
-    /// of rank p, with every higher-ranked entry before it and every
-    /// lower-ranked one after it.
-    std::vector<std::uint32_t> order;
-    std::vector<std::size_t> pivots;
   };
 
   void rebuild(const nn::Model& model, const LinkContext& ctx);
@@ -79,7 +77,7 @@ class LinkPrioritizer : public PartialGradientStrategy {
   /// Set by begin_iteration(); the next generate() rebuilds the state below.
   bool stale_ = true;
   /// Per variable; fixed-N mode fills only max_abs, for the DCHECK.
-  std::vector<VarOrder> vars_;
+  std::vector<VarState> vars_;
   std::vector<comm::VariableGrad> staged_;  ///< fixed-N mode
 };
 

@@ -46,7 +46,7 @@ class PartialGradientStrategy {
   /// Called once per iteration, before any per-link generation, with the
   /// model holding the fresh local gradients. Strategies with cross-link
   /// state (accumulators, partitions) update it here. State that must not
-  /// outlive the iteration (staged payloads, shared selection orderings) is
+  /// outlive the iteration (staged payloads, shared selection buckets) is
   /// invalidated here and never by comparing LinkContext::iteration: a
   /// recovering worker rewinds its iteration counter to its checkpoint and
   /// repeats iteration numbers with new gradients. A strategy that was

@@ -13,12 +13,15 @@
 //    quantized values, zeros, +-x pairs and one all-zero variable. The last
 //    iteration reuses an earlier iteration number, as a recovering worker
 //    does after rewinding to its checkpoint.
-//  - A property test against an independent top-k oracle.
+//  - Property tests against an independent top-k oracle, on those
+//    gradients and on ones where most magnitudes tie: quantized levels,
+//    runs of +-0, denormals and an infinity, with k inside runs of ties.
 //  - Digests of small maxn cluster runs at thread-pool sizes 1 and 4.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -199,60 +202,143 @@ OracleSelection oracle_top_k(std::span<const float> grad, std::size_t k) {
   return sel;
 }
 
+/// Links whose k-th magnitude is tied: `partial` counts those where some of
+/// the tie misses the cut (the lower indices win), `whole` those that take
+/// every tied entry.
+struct TieCoverage {
+  std::size_t partial = 0;
+  std::size_t whole = 0;
+};
+
+/// One begin_iteration, then one generate() per link of `mbps`, each
+/// compared bit for bit with the oracle, with last_entries() and last_n().
+void expect_links_match_oracle(nn::Model& model, LinkPrioritizer& lp,
+                               const LinkPrioritizerConfig& cfg,
+                               std::uint64_t iteration,
+                               std::span<const double> mbps,
+                               TieCoverage& ties) {
+  const auto& vars = model.variables();
+  const double total = static_cast<double>(model.num_params());
+  lp.begin_iteration(model, iteration);
+  for (std::size_t l = 0; l < mbps.size(); ++l) {
+    const LinkContext ctx = link_ctx(l + 1, iteration, mbps[l]);
+    const auto out = lp.generate(model, ctx);
+    ASSERT_EQ(out.size(), vars.size());
+    // The link budget in entries, split across variables by size.
+    const double entries = cfg.budget_fraction *
+                           (ctx.available_mbps * 1e6 / 8.0) /
+                           ctx.iterations_per_sec / (8.0 * ctx.byte_scale);
+    double weighted_n = 0.0;
+    std::size_t sent = 0;
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      const auto grad = vars[v]->grad().span();
+      const auto k_budget = static_cast<std::size_t>(
+          std::floor(entries * static_cast<double>(grad.size()) / total));
+      const std::size_t k = std::max<std::size_t>(
+          {k_budget, count_max_n(grad, cfg.min_n), 1});
+      const OracleSelection want = oracle_top_k(grad, k);
+      EXPECT_EQ(out[v].var_index, v);
+      EXPECT_EQ(out[v].dense_size, grad.size());
+      ASSERT_EQ(std::vector<std::uint32_t>(out[v].indices.begin(),
+                                           out[v].indices.end()),
+                want.indices)
+          << "link " << l << " var " << v << " k " << k;
+      // Bit for bit: -0.0 must stay -0.0.
+      ASSERT_EQ(out[v].values.size(), want.values.size());
+      ASSERT_EQ(std::memcmp(out[v].values.data(), want.values.data(),
+                            want.values.size() * sizeof(float)),
+                0)
+          << "link " << l << " var " << v << " k " << k;
+      const float mx = *std::max_element(
+          grad.begin(), grad.end(),
+          [](float a, float b) { return std::fabs(a) < std::fabs(b); });
+      const double eq_n =
+          (k >= grad.size() || mx == 0.0f)
+              ? 100.0
+              : equivalent_n_from_threshold(std::fabs(mx), want.kth_mag);
+      weighted_n += eq_n * static_cast<double>(grad.size());
+      sent += want.values.size();
+      if (k < grad.size()) {
+        const auto above = static_cast<std::size_t>(
+            std::count_if(grad.begin(), grad.end(), [&](float g) {
+              return std::fabs(g) > want.kth_mag;
+            }));
+        const auto tied = static_cast<std::size_t>(
+            std::count_if(grad.begin(), grad.end(), [&](float g) {
+              return std::fabs(g) == want.kth_mag;
+            }));
+        if (tied > 1 && above + tied > k) ++ties.partial;
+        if (tied > 1 && above + tied == k) ++ties.whole;
+      }
+    }
+    EXPECT_EQ(lp.last_entries(), sent);
+    const double want_n = weighted_n / total;
+    if (std::isnan(want_n)) {  // an infinite k-th magnitude: inf / inf
+      EXPECT_TRUE(std::isnan(lp.last_n()));
+    } else {
+      EXPECT_DOUBLE_EQ(lp.last_n(), want_n);
+    }
+  }
+}
+
 TEST(LinkPrioritizerPin, MatchesTopKOracle) {
   for (const double min_n : {0.85, 30.0}) {
     nn::BuiltModel bm = pin_model();
     LinkPrioritizerConfig cfg;
     cfg.min_n = min_n;
     LinkPrioritizer lp(cfg);
-    const auto& vars = bm.model.variables();
-    const double total = static_cast<double>(bm.model.num_params());
+    TieCoverage ties;
     for (const PinIteration& it : kIterations) {
       fill_gradients(bm.model, it.grad_seed);
-      lp.begin_iteration(bm.model, it.iteration);
-      for (std::size_t l = 0; l < std::size(kLinkMbps); ++l) {
-        const LinkContext ctx = link_ctx(l + 1, it.iteration, kLinkMbps[l]);
-        const auto out = lp.generate(bm.model, ctx);
-        ASSERT_EQ(out.size(), vars.size());
-        // The link budget in entries, split across variables by size.
-        const double entries = cfg.budget_fraction *
-                               (ctx.available_mbps * 1e6 / 8.0) /
-                               ctx.iterations_per_sec /
-                               (8.0 * ctx.byte_scale);
-        double weighted_n = 0.0;
-        std::size_t sent = 0;
-        for (std::size_t v = 0; v < vars.size(); ++v) {
-          const auto grad = vars[v]->grad().span();
-          const auto k_budget = static_cast<std::size_t>(
-              std::floor(entries * static_cast<double>(grad.size()) / total));
-          const std::size_t k = std::max<std::size_t>(
-              {k_budget, count_max_n(grad, min_n), 1});
-          const OracleSelection want = oracle_top_k(grad, k);
-          EXPECT_EQ(out[v].var_index, v);
-          EXPECT_EQ(out[v].dense_size, grad.size());
-          ASSERT_EQ(std::vector<std::uint32_t>(out[v].indices.begin(),
-                                               out[v].indices.end()),
-                    want.indices)
-              << "link " << l << " var " << v << " k " << k;
-          ASSERT_EQ(std::vector<float>(out[v].values.begin(),
-                                       out[v].values.end()),
-                    want.values)
-              << "link " << l << " var " << v << " k " << k;
-          const float mx = *std::max_element(
-              grad.begin(), grad.end(),
-              [](float a, float b) { return std::fabs(a) < std::fabs(b); });
-          const double eq_n =
-              (k >= grad.size() || mx == 0.0f)
-                  ? 100.0
-                  : equivalent_n_from_threshold(std::fabs(mx), want.kth_mag);
-          weighted_n += eq_n * static_cast<double>(grad.size());
-          sent += want.values.size();
-        }
-        EXPECT_EQ(lp.last_entries(), sent);
-        EXPECT_DOUBLE_EQ(lp.last_n(), weighted_n / total);
+      expect_links_match_oracle(bm.model, lp, cfg, it.iteration, kLinkMbps,
+                                ties);
+    }
+  }
+}
+
+/// Gradients where most magnitudes tie: a few quantized levels, runs of
+/// +0 and -0 (ReLU-dead units), denormals, an infinity and an all-zero
+/// variable (variable 1, signs mixed).
+void fill_tie_gradients(nn::Model& model, std::uint64_t seed) {
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  constexpr float kFloatMin = std::numeric_limits<float>::min();
+  constexpr float kLevels[] = {0.5f,    1.0f,           2.0f,
+                               kDenorm, kDenorm * 3.0f, kFloatMin};
+  common::Rng rng(seed);
+  const auto& vars = model.variables();
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    auto g = vars[v]->grad().span();
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      const float sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0f : 1.0f;
+      if (v == 1 || (i / 16) % 3 == 0) {
+        g[i] = sign * 0.0f;  // a dead run
+      } else {
+        const auto level = rng.uniform_int(0, v == 2 ? 5 : 2);
+        g[i] = sign * kLevels[static_cast<std::size_t>(level)];
       }
     }
   }
+  vars[0]->grad().span()[100] = -std::numeric_limits<float>::infinity();
+}
+
+TEST(LinkPrioritizerPin, TieHeavyMatchesTopKOracle) {
+  // Budgets from starved (the min_n floor decides) to dense, in steps of
+  // about 1.5x, so k lands at many points inside runs of equal magnitudes.
+  std::vector<double> mbps = {1e-7};
+  for (double m = 5e-5; m < 0.4; m *= 1.5) mbps.push_back(m);
+  TieCoverage ties;
+  for (const double min_n : {0.85, 30.0, 60.0}) {
+    nn::BuiltModel bm = pin_model();
+    LinkPrioritizerConfig cfg;
+    cfg.min_n = min_n;
+    LinkPrioritizer lp(cfg);
+    for (const PinIteration& it : kIterations) {
+      fill_tie_gradients(bm.model, it.grad_seed);
+      expect_links_match_oracle(bm.model, lp, cfg, it.iteration, mbps, ties);
+    }
+  }
+  EXPECT_GT(ties.partial, 0u);
+  EXPECT_GT(ties.whole, 0u);
 }
 
 // --- maxn cluster runs, in the MembershipPin style -------------------------

@@ -1,12 +1,13 @@
 // Tests for the fused selection paths: the single-pass select_max_n must
-// match the obvious two-pass semantics exactly, the magnitude-sharing
-// helpers must agree with their rescanning counterparts, and select_top_k
-// must match a full-sort oracle.
+// match the obvious two-pass semantics exactly, the magnitude buckets must
+// agree with the rescanning max|g| and Max N count, and select_top_k must
+// match a full-sort oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -79,23 +80,63 @@ TEST(SelectMaxNFused, AllZerosSelectsEverything) {
   EXPECT_EQ(3u, v.var_index);
 }
 
+/// Gradients with the values a magnitude ranking must handle: exact ties,
+/// +-0, denormals, infinities and NaN.
+std::vector<float> special_grad() {
+  std::vector<float> g = random_grad(300, 41);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (i % 3 == 0) g[i] = std::round(g[i] * 4.0f) * 0.25f;  // ties, +-0
+  }
+  g[5] = -0.0f;
+  g[7] = std::numeric_limits<float>::denorm_min();
+  g[11] = -std::numeric_limits<float>::denorm_min() * 3.0f;
+  g[13] = std::numeric_limits<float>::min();
+  return g;
+}
+
 TEST(Magnitudes, FusedPassMatchesMaxAbs) {
-  const auto grad = random_grad(1234, 9);
-  std::vector<float> mags;
-  const float mx = magnitudes(grad, mags);
-  EXPECT_EQ(tensor::max_abs(grad), mx);
-  ASSERT_EQ(grad.size(), mags.size());
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    ASSERT_EQ(std::fabs(grad[i]), mags[i]);
+  std::vector<float> with_inf = special_grad();
+  with_inf[17] = -std::numeric_limits<float>::infinity();
+  std::vector<float> with_nan = special_grad();
+  with_nan[19] = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& grad : {random_grad(1234, 9), special_grad(), with_inf,
+                           with_nan, std::vector<float>(9, -0.0f),
+                           std::vector<float>{}}) {
+    MagnitudeBuckets buckets;
+    buckets.build(grad);
+    EXPECT_EQ(tensor::max_abs(grad), buckets.max_abs());
+    EXPECT_EQ(grad.size(), buckets.size());
   }
 }
 
 TEST(CountMaxNMags, MatchesCountMaxN) {
-  const auto grad = random_grad(2000, 17);
-  std::vector<float> mags;
-  const float mx = magnitudes(grad, mags);
-  for (double n : {0.5, 5.0, 50.0, 100.0}) {
-    EXPECT_EQ(count_max_n(grad, n), count_max_n_mags(mags, mx, n)) << n;
+  std::vector<float> quarters(400);  // many entries sit on a threshold
+  common::Rng rng(3);
+  for (auto& x : quarters) {
+    x = static_cast<float>(std::round(rng.normal() * 2.0)) * 0.25f;
+  }
+  std::vector<float> with_inf = special_grad();
+  with_inf[17] = std::numeric_limits<float>::infinity();
+  std::vector<float> with_nan = special_grad();
+  with_nan[19] = -std::numeric_limits<float>::quiet_NaN();
+  // Floats next to each Max N threshold (max|g| = 1): a threshold that
+  // rounds down to a float must not count that float.
+  constexpr double kNs[] = {0.5, 5.0, 25.0, 30.0, 50.0, 70.0, 75.0, 100.0};
+  std::vector<float> edges = {1.0f};
+  for (const double n : kNs) {
+    const auto t = static_cast<float>(max_n_threshold(n, 1.0f));
+    edges.push_back(t);
+    edges.push_back(-std::nextafter(t, 0.0f));
+    edges.push_back(std::nextafter(t, 2.0f));
+  }
+  MagnitudeBuckets buckets;  // reused: each build starts afresh
+  for (const auto& grad : {random_grad(2000, 17), quarters, edges,
+                           special_grad(), with_inf, with_nan,
+                           std::vector<float>(5, 0.0f)}) {
+    buckets.build(grad);
+    for (const double n : kNs) {
+      EXPECT_EQ(count_max_n(grad, n), buckets.max_n_count(n)) << n;
+    }
   }
 }
 

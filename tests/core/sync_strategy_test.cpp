@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 namespace dlion::core {
@@ -75,6 +76,20 @@ struct SyncCase {
   std::vector<std::int64_t> peers;
   bool expect;
 };
+
+// ctest names each case by its printed parameter (gtest_discover_tests puts
+// it in place of the case index), so print the fields: the default printer
+// dumps the struct's bytes, heap pointers included, and the names would
+// change from build to build. A custom gtest name generator would not help:
+// CMake then keeps the printed parameter as a trailing comment in the name.
+void PrintTo(const SyncCase& c, std::ostream* os) {
+  *os << "staleness " << c.staleness << ", backup " << c.backup << ", next "
+      << c.next_iter << ", peers {";
+  for (std::size_t i = 0; i < c.peers.size(); ++i) {
+    *os << (i == 0 ? "" : ",") << c.peers[i];
+  }
+  *os << "}";
+}
 
 class SyncPolicySweep : public ::testing::TestWithParam<SyncCase> {};
 
